@@ -2,16 +2,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "autograd/finite_check.h"
 
 namespace rtgcn::ag {
 
-namespace {
-
-// Builds the output node; attaches the tape edge only when needed. `op` is
-// a static string naming the operation, recorded on the node so the
-// finite-check mode can pinpoint which op produced a non-finite value.
 VarPtr MakeOp(const char* op, Tensor value, std::vector<VarPtr> parents,
               std::function<void(const Tensor&)> backward_fn) {
   bool track = GradMode::enabled();
@@ -33,8 +29,6 @@ VarPtr MakeOp(const char* op, Tensor value, std::vector<VarPtr> parents,
   }
   return out;
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Elementwise binary
@@ -72,7 +66,7 @@ VarPtr Div(const VarPtr& a, const VarPtr& b) {
           // d(a/b)/db = -a / b^2
           Tensor gb = rtgcn::Neg(rtgcn::Div(rtgcn::Mul(g, a->value),
                                             rtgcn::Square(b->value)));
-          b->AccumulateGrad(gb);
+          b->AccumulateGrad(std::move(gb));
         }
       });
 }
@@ -100,20 +94,16 @@ VarPtr Neg(const VarPtr& a) {
 }
 
 VarPtr Relu(const VarPtr& a) {
-  Tensor y = rtgcn::Relu(a->value);
-  return MakeOp("Relu", y, {a}, [a](const Tensor& g) {
-    Tensor mask = rtgcn::Map(a->value, [](float x) { return x > 0 ? 1.0f : 0.0f; });
-    a->AccumulateGrad(rtgcn::Mul(g, mask));
+  return MakeOp("Relu", rtgcn::Relu(a->value), {a}, [a](const Tensor& g) {
+    a->AccumulateGrad(rtgcn::LeakyReluGrad(g, a->value, 0.0f));
   });
 }
 
 VarPtr LeakyRelu(const VarPtr& a, float slope) {
-  Tensor y = rtgcn::LeakyRelu(a->value, slope);
-  return MakeOp("LeakyRelu", y, {a}, [a, slope](const Tensor& g) {
-    Tensor mask = rtgcn::Map(a->value,
-                             [slope](float x) { return x > 0 ? 1.0f : slope; });
-    a->AccumulateGrad(rtgcn::Mul(g, mask));
-  });
+  return MakeOp("LeakyRelu", rtgcn::LeakyRelu(a->value, slope), {a},
+                [a, slope](const Tensor& g) {
+                  a->AccumulateGrad(rtgcn::LeakyReluGrad(g, a->value, slope));
+                });
 }
 
 VarPtr Sigmoid(const VarPtr& a) {
@@ -205,7 +195,7 @@ VarPtr BatchMatMul(const VarPtr& a, const VarPtr& b) {
             std::memcpy(ga.data() + i * m * k, gai.data(),
                         m * k * sizeof(float));
           }
-          a->AccumulateGrad(ga);
+          a->AccumulateGrad(std::move(ga));
         }
         if (NeedsGrad(b)) {
           if (shared_b) {
@@ -218,7 +208,7 @@ VarPtr BatchMatMul(const VarPtr& a, const VarPtr& b) {
                                                    g.data() + (i + 1) * m * n));
               gb = rtgcn::Add(gb, rtgcn::MatMul(rtgcn::Transpose(ai), gi));
             }
-            b->AccumulateGrad(gb);
+            b->AccumulateGrad(std::move(gb));
           } else {
             Tensor gb = Tensor::Zeros({batch, k, n});
             for (int64_t i = 0; i < batch; ++i) {
@@ -231,7 +221,7 @@ VarPtr BatchMatMul(const VarPtr& a, const VarPtr& b) {
               std::memcpy(gb.data() + i * k * n, gbi.data(),
                           k * n * sizeof(float));
             }
-            b->AccumulateGrad(gb);
+            b->AccumulateGrad(std::move(gb));
           }
         }
       });
@@ -310,25 +300,13 @@ VarPtr Reshape(const VarPtr& a, Shape shape) {
 
 VarPtr SliceOp(const VarPtr& a, int64_t axis, int64_t start, int64_t end) {
   const int64_t norm_axis = NormalizeAxis(axis, a->value.ndim());
-  Shape in_shape = a->shape();
-  return MakeOp("SliceOp", 
-      rtgcn::Slice(a->value, norm_axis, start, end), {a},
-      [a, norm_axis, start, in_shape](const Tensor& g) {
-        // Scatter g back into a zero tensor of the input shape.
-        Tensor full = Tensor::Zeros(in_shape);
-        int64_t outer = 1, inner = 1;
-        for (int64_t i = 0; i < norm_axis; ++i) outer *= in_shape[i];
-        for (size_t i = norm_axis + 1; i < in_shape.size(); ++i) inner *= in_shape[i];
-        const int64_t len = in_shape[norm_axis];
-        const int64_t glen = g.shape()[norm_axis];
-        const float* pg = g.data();
-        float* pf = full.data();
-        for (int64_t o = 0; o < outer; ++o) {
-          std::memcpy(pf + (o * len + start) * inner, pg + o * glen * inner,
-                      glen * inner * sizeof(float));
-        }
-        a->AccumulateGrad(full);
-      });
+  // Backward adds g into its range of a's gradient in place: O(slice), not
+  // a full-size zero scatter per slice (the RNN and conv-tap loops take T
+  // slices of one input).
+  return MakeOp("SliceOp", rtgcn::Slice(a->value, norm_axis, start, end),
+                {a}, [a, norm_axis, start](const Tensor& g) {
+                  a->AccumulateGradSlice(g, norm_axis, start);
+                });
 }
 
 VarPtr ConcatOp(const std::vector<VarPtr>& parts, int64_t axis) {
@@ -343,6 +321,8 @@ VarPtr ConcatOp(const std::vector<VarPtr>& parts, int64_t axis) {
   }
   return MakeOp("ConcatOp", rtgcn::Concat(values, norm_axis), parts,
                 [parts, sizes, norm_axis](const Tensor& g) {
+                  // One copy of each part's range, which AccumulateGrad
+                  // adopts as the part's gradient or adds in place.
                   int64_t offset = 0;
                   for (size_t i = 0; i < parts.size(); ++i) {
                     if (NeedsGrad(parts[i])) {
@@ -389,7 +369,7 @@ VarPtr Downsample(const VarPtr& a, int64_t axis, int64_t step, int64_t start) {
                                   inner * sizeof(float));
                     }
                   }
-                  a->AccumulateGrad(full);
+                  a->AccumulateGrad(std::move(full));
                 });
 }
 

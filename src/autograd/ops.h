@@ -19,6 +19,14 @@ inline bool NeedsGrad(const VarPtr& v) {
   return v->requires_grad || !v->is_leaf();
 }
 
+/// Records one differentiable op: builds the output node for `value`,
+/// names it `op` (a static string, so the finite-check mode can blame it),
+/// runs the forward finite check, and attaches `backward_fn` and the
+/// parents when grad mode is on and any parent needs a gradient. Every op
+/// below goes through here; ops defined elsewhere (core/loss.cc) use it too.
+VarPtr MakeOp(const char* op, Tensor value, std::vector<VarPtr> parents,
+              std::function<void(const Tensor&)> backward_fn);
+
 // Elementwise binary (broadcasting).
 VarPtr Add(const VarPtr& a, const VarPtr& b);
 VarPtr Sub(const VarPtr& a, const VarPtr& b);

@@ -16,13 +16,26 @@ thread_local bool g_grad_enabled = true;
 bool GradMode::enabled() { return g_grad_enabled; }
 void GradMode::set_enabled(bool enabled) { g_grad_enabled = enabled; }
 
-void Variable::AccumulateGrad(const Tensor& g) {
-  Tensor reduced = ReduceToShape(g, value.shape());
+void Variable::AccumulateGrad(Tensor g) {
+  g = ReduceToShape(g, value.shape());
   if (!grad.defined()) {
-    grad = reduced.Clone();
+    grad = std::move(g);
+  } else if (grad.unique_storage()) {
+    AddInPlace(&grad, g);
   } else {
-    grad = rtgcn::Add(grad, reduced);
+    grad = rtgcn::Add(grad, g);
   }
+}
+
+void Variable::AccumulateGradSlice(const Tensor& g, int64_t axis,
+                                   int64_t start) {
+  if (!grad.defined()) {
+    grad = Tensor::Zeros(value.shape());
+    CopyIntoSlice(&grad, axis, start, g);
+    return;
+  }
+  if (!grad.unique_storage()) grad = grad.Clone();
+  AddIntoSlice(&grad, axis, start, g);
 }
 
 VarPtr MakeVariable(Tensor value, bool requires_grad) {

@@ -45,8 +45,18 @@ class Variable {
 
   bool is_leaf() const { return parents.empty() && !backward_fn; }
 
-  /// Adds `g` into this->grad, reducing broadcast axes as needed.
-  void AccumulateGrad(const Tensor& g);
+  /// Adds `g` into this->grad, reducing broadcast axes as needed. The
+  /// first contribution is kept as is, sharing its storage with whoever
+  /// else holds it (often the child's own gradient), so it costs no copy.
+  /// Later contributions add in place when the buffer is unshared, else
+  /// out of place; no tensor another holder can see is ever written. Every
+  /// path rounds exactly like `grad = Add(grad, g)`.
+  void AccumulateGrad(Tensor g);
+
+  /// Adds `g` into the range [start, start + g.dim(axis)) of this->grad
+  /// along `axis`, leaving the rest of the gradient untouched (zero when it
+  /// was undefined). Costs O(g.numel()) rather than a full-size scatter.
+  void AccumulateGradSlice(const Tensor& g, int64_t axis, int64_t start);
 
   /// Drops accumulated gradient (between optimizer steps).
   void ZeroGrad() { grad = Tensor(); }

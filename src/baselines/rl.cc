@@ -4,6 +4,7 @@
 #include "autograd/optimizer.h"
 #include "common/stopwatch.h"
 #include "core/loss.h"
+#include "tensor/storage_pool.h"
 
 namespace rtgcn::baselines {
 
@@ -44,6 +45,7 @@ Tensor DqnPredictor::FlattenDay(const market::WindowDataset& data,
 void DqnPredictor::Fit(const market::WindowDataset& data,
                        const std::vector<int64_t>& train_days,
                        const harness::TrainOptions& options) {
+  ScopedStoragePool storage_pool;  // as in GradientPredictor::Fit
   Stopwatch watch;
   // The RL loops have no checkpointed state to roll back to, so the guard
   // degrades kRollback to per-step skipping here.
@@ -132,6 +134,7 @@ Tensor IrdpgPredictor::FlattenDay(const market::WindowDataset& data,
 void IrdpgPredictor::Fit(const market::WindowDataset& data,
                          const std::vector<int64_t>& train_days,
                          const harness::TrainOptions& options) {
+  ScopedStoragePool storage_pool;  // as in GradientPredictor::Fit
   Stopwatch watch;
   ag::Adam optimizer(policy_->Parameters(), options.learning_rate);
   harness::GuardOptions guard_options = options.guard;

@@ -10,7 +10,10 @@ namespace rtgcn::core {
 ag::VarPtr RegressionLoss(const ag::VarPtr& scores, const Tensor& labels);
 
 /// τ_rank: pairwise hinge  Σ_ij ReLU(-(ŷ_i - ŷ_j)(y_i - y_j)), averaged over
-/// the N² pairs so the α balance is independent of universe size.
+/// the N² pairs so the α balance is independent of universe size. One fused
+/// op ("PairwiseHinge") with no [N, N] temporaries; its value and gradient
+/// are bit-identical to the broadcast Sub/Mul/Neg/Relu/MeanAll composition
+/// (kept as the oracle in tests/core_test.cc).
 ag::VarPtr PairwiseRankingLoss(const ag::VarPtr& scores, const Tensor& labels);
 
 /// τ = τ_reg + α τ_rank (Eq. 9). The λ‖β‖² term is applied as optimizer

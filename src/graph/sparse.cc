@@ -262,7 +262,7 @@ ag::VarPtr SparsePropagate(const CsrPtr& g, const ag::VarPtr& x) {
       Tensor dx = Tensor::Zeros(x->value.shape());
       SegmentSpmm(*g, g->coeff().data(), /*use_rev=*/true, grad.data(), f,
                   dx.data());
-      x->AccumulateGrad(dx);
+      x->AccumulateGrad(std::move(dx));
     };
   }
   return out;
@@ -357,7 +357,7 @@ ag::VarPtr SparseEdgeWeightPropagate(const CsrPtr& g, const ag::VarPtr& w,
       if (ag::NeedsGrad(x)) {
         Tensor dx = Tensor::Zeros(x_val.shape());
         SegmentSpmm(*g, p->data(), /*use_rev=*/true, pg, f, dx.data());
-        x->AccumulateGrad(dx);
+        x->AccumulateGrad(std::move(dx));
       }
     };
   }
@@ -526,7 +526,7 @@ ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
             }
           }
         });
-        x->AccumulateGrad(dx);
+        x->AccumulateGrad(std::move(dx));
       }
     };
   }
@@ -666,9 +666,9 @@ ag::VarPtr SparseGatAttention(const CsrPtr& g, const ag::VarPtr& src,
         }
       });
 
-      if (ag::NeedsGrad(src)) src->AccumulateGrad(dsrc);
-      if (ag::NeedsGrad(dst)) dst->AccumulateGrad(ddst);
-      if (ag::NeedsGrad(h)) h->AccumulateGrad(dh);
+      if (ag::NeedsGrad(src)) src->AccumulateGrad(std::move(dsrc));
+      if (ag::NeedsGrad(dst)) dst->AccumulateGrad(std::move(ddst));
+      if (ag::NeedsGrad(h)) h->AccumulateGrad(std::move(dh));
     };
   }
   return out;

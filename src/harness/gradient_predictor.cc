@@ -10,6 +10,7 @@
 #include "obs/clock.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "tensor/storage_pool.h"
 
 namespace rtgcn::harness {
 
@@ -110,6 +111,9 @@ void GradientPredictor::Fit(const market::WindowDataset& data,
                             const std::vector<int64_t>& train_days,
                             const TrainOptions& options) {
   RTGCN_CHECK(!train_days.empty());
+  // Every step rebuilds the same tensor shapes; recycle their storage for
+  // the whole run (tensor/storage_pool.h).
+  ScopedStoragePool storage_pool;
   rng_ = std::make_unique<Rng>(options.seed);
   nn::Module* mod = module();
   mod->SetTraining(true);

@@ -319,6 +319,21 @@ Tensor Sign(const Tensor& a) {
   return UnaryOp(a, [](float x) { return x > 0 ? 1.0f : (x < 0 ? -1.0f : 0.0f); });
 }
 
+Tensor LeakyReluGrad(const Tensor& grad, const Tensor& x, float slope) {
+  RTGCN_CHECK(grad.shape() == x.shape())
+      << ShapeToString(grad.shape()) << " vs " << ShapeToString(x.shape());
+  Tensor out(x.shape());
+  const float* pg = grad.data();
+  const float* px = x.data();
+  float* po = out.data();
+  ParallelFor(0, x.numel(), kElemGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      po[i] = pg[i] * (px[i] > 0 ? 1.0f : slope);
+    }
+  });
+  return out;
+}
+
 Tensor Map(const Tensor& a, const std::function<float(float)>& fn) {
   return UnaryOp(a, fn);
 }
@@ -692,6 +707,70 @@ Tensor Stack(const std::vector<Tensor>& parts) {
     std::memcpy(po + i * elem, parts[i].data(), elem * sizeof(float));
   }
   return out;
+}
+
+void AddInPlace(Tensor* dst, const Tensor& src) {
+  RTGCN_CHECK(dst->shape() == src.shape())
+      << ShapeToString(dst->shape()) << " += " << ShapeToString(src.shape());
+  const kernels::BinaryFn add = kernels::Active().add;
+  float* pd = dst->data();
+  const float* ps = src.data();
+  ParallelFor(0, src.numel(), kElemGrain, [&](int64_t lo, int64_t hi) {
+    add(pd + lo, ps + lo, pd + lo, hi - lo);
+  });
+}
+
+namespace {
+
+// Applies row_fn(dst_row, src_row, len) over the contiguous runs that map
+// `src` onto the range [start, start + src.dim(axis)) of `dst` along `axis`.
+// Chunks cover fixed element ranges of `src`, and each element is touched
+// once, so the result does not depend on the thread count.
+template <typename RowFn>
+void ForEachSliceRun(Tensor* dst, int64_t axis, int64_t start,
+                     const Tensor& src, RowFn row_fn) {
+  axis = NormalizeAxis(axis, dst->ndim());
+  RTGCN_CHECK_EQ(src.ndim(), dst->ndim());
+  for (int64_t d = 0; d < dst->ndim(); ++d) {
+    if (d != axis) RTGCN_CHECK_EQ(src.dim(d), dst->dim(d));
+  }
+  RTGCN_CHECK(start >= 0 && start + src.dim(axis) <= dst->dim(axis))
+      << "slice at " << start << " of " << ShapeToString(src.shape())
+      << " does not fit " << ShapeToString(dst->shape());
+  int64_t outer, len, inner;
+  AxisSpans(dst->shape(), axis, &outer, &len, &inner);
+  const int64_t run = src.dim(axis) * inner;  // contiguous in both tensors
+  if (run == 0) return;
+  float* pd = dst->data() + start * inner;
+  const float* ps = src.data();
+  ParallelFor(0, outer * run, kElemGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi;) {
+      const int64_t o = i / run;
+      const int64_t k = i % run;
+      const int64_t n = std::min(hi - i, run - k);
+      row_fn(pd + o * len * inner + k, ps + i, n);
+      i += n;
+    }
+  });
+}
+
+}  // namespace
+
+void CopyIntoSlice(Tensor* dst, int64_t axis, int64_t start,
+                   const Tensor& src) {
+  ForEachSliceRun(dst, axis, start, src,
+                  [](float* d, const float* s, int64_t n) {
+                    std::memcpy(d, s, n * sizeof(float));
+                  });
+}
+
+void AddIntoSlice(Tensor* dst, int64_t axis, int64_t start,
+                  const Tensor& src) {
+  const kernels::BinaryFn add = kernels::Active().add;
+  ForEachSliceRun(dst, axis, start, src,
+                  [add](float* d, const float* s, int64_t n) {
+                    add(d, s, d, n);
+                  });
 }
 
 // ---------------------------------------------------------------------------

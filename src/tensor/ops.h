@@ -71,6 +71,11 @@ Tensor Abs(const Tensor& a);
 Tensor Clamp(const Tensor& a, float lo, float hi);
 Tensor Sign(const Tensor& a);
 
+/// Backward of LeakyRelu (Relu at slope 0): grad * (x > 0 ? 1 : slope) in
+/// one pass. The product is formed exactly as `grad * mask`, so NaN and Inf
+/// gradients propagate as they would through an explicit mask.
+Tensor LeakyReluGrad(const Tensor& grad, const Tensor& x, float slope);
+
 /// Applies `fn` elementwise (test/utility use; not differentiable).
 Tensor Map(const Tensor& a, const std::function<float(float)>& fn);
 
@@ -127,6 +132,22 @@ Tensor Squeeze(const Tensor& a, int64_t axis);
 
 /// Stacks equally-shaped tensors along a new leading axis.
 Tensor Stack(const std::vector<Tensor>& parts);
+
+// In-place updates. The caller must own `dst`'s storage exclusively
+// (Tensor::unique_storage); every other tensor sharing it would see the
+// write.
+
+/// dst += src elementwise; the shapes must match.
+void AddInPlace(Tensor* dst, const Tensor& src);
+
+/// Writes `src` into the range [start, start + src.dim(axis)) of `dst`
+/// along `axis`; every other axis of the two shapes must match.
+void CopyIntoSlice(Tensor* dst, int64_t axis, int64_t start,
+                   const Tensor& src);
+
+/// Like CopyIntoSlice, but adds `src` into the range.
+void AddIntoSlice(Tensor* dst, int64_t axis, int64_t start,
+                  const Tensor& src);
 
 // ---------------------------------------------------------------------------
 // Comparisons / misc

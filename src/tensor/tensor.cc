@@ -1,8 +1,11 @@
 #include "tensor/tensor.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <sstream>
+
+#include "tensor/storage_pool.h"
 
 namespace rtgcn {
 
@@ -36,11 +39,13 @@ std::vector<int64_t> RowMajorStrides(const Shape& shape) {
   return strides;
 }
 
-Tensor Tensor::Zeros(Shape shape) {
-  Tensor t(std::move(shape));
-  t.Fill(0.0f);
-  return t;
+Tensor::Tensor(Shape shape) : shape_(std::move(shape)) {
+  const int64_t n = ShapeNumel(shape_);
+  data_ = internal::AcquirePooledStorage(n, /*zero=*/true);
+  if (!data_) data_ = std::make_shared<std::vector<float>>(n);
 }
+
+Tensor Tensor::Zeros(Shape shape) { return Tensor(std::move(shape)); }
 
 Tensor Tensor::Ones(Shape shape) {
   Tensor t(std::move(shape));
@@ -76,7 +81,15 @@ Tensor Tensor::Arange(int64_t n) {
 
 Tensor Tensor::Clone() const {
   RTGCN_CHECK(defined());
-  return Tensor(shape_, *data_);
+  Tensor out;
+  out.shape_ = shape_;
+  out.data_ = internal::AcquirePooledStorage(numel(), /*zero=*/false);
+  if (out.data_) {
+    std::memcpy(out.data(), data(), numel() * sizeof(float));
+  } else {
+    out.data_ = std::make_shared<std::vector<float>>(*data_);
+  }
+  return out;
 }
 
 Tensor Tensor::Reshape(Shape new_shape) const {

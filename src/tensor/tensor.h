@@ -3,7 +3,9 @@
 // This is the numeric substrate for the whole library: contiguous storage,
 // shared ownership of the buffer (copies are cheap shallow copies; ops
 // allocate fresh outputs), N-d shapes with NumPy-style broadcasting in the
-// binary ops (see tensor/ops.h).
+// binary ops (see tensor/ops.h). Inside a ScopedStoragePool
+// (tensor/storage_pool.h) large buffers are recycled instead of freshly
+// allocated.
 #ifndef RTGCN_TENSOR_TENSOR_H_
 #define RTGCN_TENSOR_TENSOR_H_
 
@@ -36,10 +38,10 @@ class Tensor {
  public:
   Tensor() = default;
 
-  /// Allocates an uninitialized tensor of `shape`.
-  explicit Tensor(Shape shape)
-      : shape_(std::move(shape)),
-        data_(std::make_shared<std::vector<float>>(ShapeNumel(shape_))) {}
+  /// Allocates a zero-filled tensor of `shape`. Storage recycled from an
+  /// open ScopedStoragePool is zero-filled too, so callers may rely on the
+  /// zeros either way.
+  explicit Tensor(Shape shape);
 
   /// Wraps an existing buffer; `values.size()` must match the shape.
   Tensor(Shape shape, std::vector<float> values)
@@ -60,6 +62,10 @@ class Tensor {
   static Tensor Arange(int64_t n);
 
   bool defined() const { return data_ != nullptr; }
+  /// True when no other Tensor shares this storage, so writing through
+  /// data() is visible to no one else. Meant for single-threaded owners
+  /// such as the autograd tape.
+  bool unique_storage() const { return data_ && data_.use_count() == 1; }
   const Shape& shape() const { return shape_; }
   int64_t ndim() const { return static_cast<int64_t>(shape_.size()); }
   int64_t numel() const { return data_ ? static_cast<int64_t>(data_->size()) : 0; }

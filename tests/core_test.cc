@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "autograd/gradcheck.h"
 #include "autograd/optimizer.h"
+#include "baselines/rtgcn_predictor.h"
+#include "common/thread_pool.h"
 #include "core/loss.h"
 #include "core/rtgcn.h"
 #include "graph/adjacency.h"
+#include "market/dataset.h"
 #include "tensor/init.h"
+#include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
 
 namespace rtgcn::core {
@@ -224,6 +231,147 @@ TEST(LossTest, GradCheckCombined) {
         return CombinedLoss(in[0], labels, 0.3f);
       },
       {scores}));
+}
+
+// ---------------------------------------------------------------------------
+// Fused ranking loss vs the broadcast composition it replaced
+// ---------------------------------------------------------------------------
+
+// The pre-fusion PairwiseRankingLoss, verbatim: outer differences by
+// broadcasting, then Mul/Neg/Relu/MeanAll over [N, N] temporaries. Kept
+// only as the oracle the fused op must match bit for bit.
+ag::VarPtr OracleRankingLoss(const ag::VarPtr& scores, const Tensor& labels) {
+  const int64_t n = scores->numel();
+  ag::VarPtr col = ag::Reshape(scores, {n, 1});
+  ag::VarPtr row = ag::Reshape(scores, {1, n});
+  ag::VarPtr pred_diff = ag::Sub(col, row);
+  Tensor lcol = labels.Reshape({n, 1});
+  Tensor lrow = labels.Reshape({1, n});
+  Tensor label_diff = rtgcn::Sub(rtgcn::BroadcastTo(lcol, {n, n}),
+                                 rtgcn::BroadcastTo(lrow, {n, n}));
+  ag::VarPtr product = ag::Mul(pred_diff, ag::Constant(label_diff));
+  return ag::MeanAll(ag::Relu(ag::Neg(product)));
+}
+
+ag::VarPtr OracleCombinedLoss(const ag::VarPtr& scores, const Tensor& labels,
+                              float alpha) {
+  return ag::Add(RegressionLoss(scores, labels),
+                 ag::MulScalar(OracleRankingLoss(scores, labels), alpha));
+}
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+// Rounds to multiples of `step` so many entries tie exactly.
+Tensor Quantize(const Tensor& t, float step) {
+  return Map(t, [step](float v) { return std::round(v / step) * step; });
+}
+
+struct LossRun {
+  Tensor value;
+  Tensor grad;
+};
+
+template <typename LossFn>
+LossRun RunLoss(const Tensor& scores, const LossFn& loss_fn) {
+  auto s = ag::MakeVariable(scores.Clone(), /*requires_grad=*/true);
+  ag::VarPtr loss = loss_fn(s);
+  ag::Backward(loss);
+  return {loss->value, s->grad};
+}
+
+TEST(LossTest, FusedRankingLossMatchesCompositionBitwise) {
+  const kernels::Backend saved_backend = kernels::ActiveBackend();
+  for (const kernels::KernelSet* ks : kernels::AllKernels()) {
+    if (!ks->supported()) continue;
+    kernels::SetBackend(ks == &kernels::Avx2() ? kernels::Backend::kAvx2
+                                               : kernels::Backend::kReference);
+    for (const int threads : {1, 2, 4}) {
+      SetNumThreads(threads);
+      for (const int64_t n : {1, 2, 7, 8, 9, 840}) {
+        for (const bool ties : {false, true}) {
+          Rng rng(static_cast<uint64_t>(100 + n));
+          Tensor scores = RandomGaussian({n}, 0, 0.1f, &rng);
+          Tensor labels = RandomGaussian({n}, 0, 0.02f, &rng);
+          if (ties) {
+            scores = Quantize(scores, 0.05f);
+            labels = Quantize(labels, 0.01f);
+          }
+          const std::string where = std::string(ks->name) + ", " +
+                                    std::to_string(threads) + " threads, N=" +
+                                    std::to_string(n) +
+                                    (ties ? ", ties" : "");
+          const LossRun fused = RunLoss(scores, [&](const ag::VarPtr& s) {
+            return PairwiseRankingLoss(s, labels);
+          });
+          const LossRun oracle = RunLoss(scores, [&](const ag::VarPtr& s) {
+            return OracleRankingLoss(s, labels);
+          });
+          EXPECT_TRUE(BitEqual(fused.value, oracle.value)) << where;
+          EXPECT_TRUE(BitEqual(fused.grad, oracle.grad)) << where;
+          // Inside the combined loss the MSE gradient lands on the same
+          // buffer afterwards, which pins the accumulation order.
+          const LossRun fused_c = RunLoss(scores, [&](const ag::VarPtr& s) {
+            return CombinedLoss(s, labels, 0.1f);
+          });
+          const LossRun oracle_c = RunLoss(scores, [&](const ag::VarPtr& s) {
+            return OracleCombinedLoss(s, labels, 0.1f);
+          });
+          EXPECT_TRUE(BitEqual(fused_c.value, oracle_c.value)) << where;
+          EXPECT_TRUE(BitEqual(fused_c.grad, oracle_c.grad)) << where;
+        }
+      }
+    }
+  }
+  SetNumThreads(0);
+  kernels::SetBackend(saved_backend);
+}
+
+// RT-GCN trained through the oracle composition instead of the fused loss.
+class OracleLossPredictor : public baselines::RtGcnPredictor {
+ public:
+  using RtGcnPredictor::RtGcnPredictor;
+
+ protected:
+  ag::VarPtr Loss(const ag::VarPtr& scores, const Tensor& labels) override {
+    return OracleCombinedLoss(scores, labels, alpha());
+  }
+};
+
+TEST(LossTest, FitWithFusedLossMatchesOracleFitBitwise) {
+  Rng rng(9);
+  const int64_t days = 40, n = 32;
+  Tensor prices({days, n});
+  for (int64_t i = 0; i < n; ++i) prices.at({0, i}) = 100.0f;
+  for (int64_t t = 1; t < days; ++t) {
+    for (int64_t i = 0; i < n; ++i) {
+      prices.at({t, i}) = prices.at({t - 1, i}) *
+                          (1.0f + static_cast<float>(rng.Gaussian(0, 0.02)));
+    }
+  }
+  const market::WindowDataset data(prices, 8, 3);
+  const std::vector<int64_t> train_days =
+      data.Days(data.first_day(), data.first_day() + 5);
+  graph::RelationTensor rel(n, 2);
+  for (int64_t i = 0; i + 1 < n; ++i) rel.AddRelation(i, i + 1, i % 2).Abort();
+  RtGcnConfig cfg = SmallConfig(Strategy::kTimeSensitive);
+  harness::TrainOptions options;
+  options.epochs = 2;
+  options.seed = 4;
+  // A large α so the ranking gradient moves every parameter's low bits.
+  const float alpha = 1.0f;
+  baselines::RtGcnPredictor fused(rel, cfg, alpha, /*seed=*/17);
+  OracleLossPredictor oracle(rel, cfg, alpha, /*seed=*/17);
+  fused.Fit(data, train_days, options);
+  oracle.Fit(data, train_days, options);
+  const auto a = fused.mutable_module()->Parameters();
+  const auto b = oracle.mutable_module()->Parameters();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(BitEqual(a[i]->value, b[i]->value)) << "parameter " << i;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
@@ -230,6 +232,155 @@ TEST(AttentionTest, AttentionRowsAreConvexCombinations) {
   auto out = ScaledDotProductAttention(q, k, v);
   // Convex combination of all-ones rows is all ones.
   EXPECT_TRUE(AllClose(out->value, Tensor::Ones({2, 3}), 1e-4f, 1e-4f));
+}
+
+// ---------------------------------------------------------------------------
+// SliceOp / ConcatOp backward vs the zero-scatter formula they replaced
+// ---------------------------------------------------------------------------
+
+// The old accumulation: a fresh copy on the first contribution, an
+// out-of-place Add after that.
+void OldAccumulate(const VarPtr& v, const Tensor& g) {
+  v->grad = v->grad.defined() ? rtgcn::Add(v->grad, g) : g.Clone();
+}
+
+// The old SliceOp backward: scatter g into a zero tensor of the input's
+// full shape, then accumulate that whole tensor.
+VarPtr OracleSlice(const VarPtr& a, int64_t axis, int64_t start,
+                   int64_t end) {
+  const Shape in_shape = a->shape();
+  return ag::MakeOp(
+      "OracleSlice", rtgcn::Slice(a->value, axis, start, end), {a},
+      [a, axis, start, in_shape](const Tensor& g) {
+        Tensor full = Tensor::Zeros(in_shape);
+        int64_t outer = 1, inner = 1;
+        for (int64_t i = 0; i < axis; ++i) outer *= in_shape[i];
+        for (size_t i = axis + 1; i < in_shape.size(); ++i) {
+          inner *= in_shape[i];
+        }
+        const int64_t len = in_shape[axis];
+        const int64_t glen = g.dim(axis);
+        for (int64_t o = 0; o < outer; ++o) {
+          std::memcpy(full.data() + (o * len + start) * inner,
+                      g.data() + o * glen * inner,
+                      glen * inner * sizeof(float));
+        }
+        OldAccumulate(a, full);
+      });
+}
+
+// The old ConcatOp backward: slice each part's range out of g and
+// accumulate it.
+VarPtr OracleConcat(const std::vector<VarPtr>& parts, int64_t axis) {
+  std::vector<Tensor> values;
+  std::vector<int64_t> sizes;
+  for (const auto& p : parts) {
+    values.push_back(p->value);
+    sizes.push_back(p->value.dim(axis));
+  }
+  return ag::MakeOp("OracleConcat", rtgcn::Concat(values, axis), parts,
+                    [parts, sizes, axis](const Tensor& g) {
+                      int64_t offset = 0;
+                      for (size_t i = 0; i < parts.size(); ++i) {
+                        if (ag::NeedsGrad(parts[i])) {
+                          OldAccumulate(parts[i],
+                                        rtgcn::Slice(g, axis, offset,
+                                                     offset + sizes[i]));
+                        }
+                        offset += sizes[i];
+                      }
+                    });
+}
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.defined() && b.defined() && a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+// Backpropagates a random projection of `out`, returns the gradients of
+// `x` and `params`, and clears them for the next run.
+std::vector<Tensor> GradsOf(const VarPtr& out, const VarPtr& x,
+                            const std::vector<VarPtr>& params) {
+  Rng rng(99);
+  const Tensor proj = RandomGaussian(out->shape(), 0, 1, &rng);
+  ag::Backward(ag::SumAll(ag::Mul(out, ag::Constant(proj))));
+  std::vector<Tensor> grads{x->grad};
+  x->ZeroGrad();
+  for (const auto& p : params) {
+    grads.push_back(p->grad);
+    p->ZeroGrad();
+  }
+  return grads;
+}
+
+void ExpectSameGrads(const std::vector<Tensor>& got,
+                     const std::vector<Tensor>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(BitEqual(got[i], want[i])) << "gradient " << i;
+  }
+}
+
+TEST(SliceBackwardTest, LstmTimeLoopMatchesZeroScatterBitwise) {
+  Rng rng(21);
+  const int64_t t_len = 7, batch = 5, d = 3, hidden = 4;
+  Lstm lstm(d, hidden, &rng);
+  auto x = ag::MakeVariable(RandomGaussian({t_len, batch, d}, 0, 1, &rng),
+                            /*requires_grad=*/true);
+  const std::vector<VarPtr> params = lstm.Parameters();  // w_ih, w_hh, bias
+  const std::vector<Tensor> got = GradsOf(lstm.ForwardAll(x), x, params);
+
+  // LstmCell::Forward and Lstm::ForwardAll, through the oracle ops.
+  auto gate = [&](const VarPtr& z, int64_t k) {
+    return OracleSlice(z, 1, k * hidden, (k + 1) * hidden);
+  };
+  VarPtr h = ag::Constant(Tensor::Zeros({batch, hidden}));
+  VarPtr c = ag::Constant(Tensor::Zeros({batch, hidden}));
+  std::vector<VarPtr> hs;
+  for (int64_t t = 0; t < t_len; ++t) {
+    VarPtr xt = ag::Reshape(OracleSlice(x, 0, t, t + 1), {batch, d});
+    VarPtr z = ag::Add(
+        ag::Add(ag::MatMul(xt, params[0]), ag::MatMul(h, params[1])),
+        params[2]);
+    VarPtr i = ag::Sigmoid(gate(z, 0));
+    VarPtr f = ag::Sigmoid(gate(z, 1));
+    VarPtr g = ag::Tanh(gate(z, 2));
+    VarPtr o = ag::Sigmoid(gate(z, 3));
+    c = ag::Add(ag::Mul(f, c), ag::Mul(i, g));
+    h = ag::Mul(o, ag::Tanh(c));
+    hs.push_back(ag::Reshape(h, {1, batch, hidden}));
+  }
+  ExpectSameGrads(got, GradsOf(OracleConcat(hs, 0), x, params));
+}
+
+TEST(SliceBackwardTest, CausalConvTapsMatchZeroScatterBitwise) {
+  Rng rng(22);
+  const int64_t t_len = 9, n = 6, in = 3, out = 4, k = 3, dilation = 2;
+  CausalConv1d conv(in, out, k, &rng, dilation, /*stride=*/1,
+                    /*weight_norm=*/true);
+  auto x = ag::MakeVariable(RandomGaussian({t_len, n, in}, 0, 1, &rng),
+                            /*requires_grad=*/true);
+  const std::vector<VarPtr> params = conv.Parameters();  // v, gain, bias
+  const std::vector<Tensor> got = GradsOf(conv.Forward(x), x, params);
+
+  // CausalConv1d::Forward with weight norm, through the oracle ops.
+  const int64_t pad = (k - 1) * dilation;
+  VarPtr xp = OracleConcat(
+      {ag::Constant(Tensor::Zeros({pad, n, in})), x}, 0);
+  const VarPtr& v = params[0];
+  VarPtr norm = ag::Sqrt(ag::AddScalar(
+      ag::Sum(ag::Sum(ag::Square(v), 0, true), 1, true), 1e-8f));
+  VarPtr w = ag::Mul(ag::Div(v, norm), params[1]);
+  VarPtr acc;
+  for (int64_t i = 0; i < k; ++i) {
+    VarPtr xi = OracleSlice(xp, 0, i * dilation, i * dilation + t_len);
+    VarPtr flat = ag::Reshape(xi, {t_len * n, in});
+    VarPtr wi = ag::Reshape(OracleSlice(w, 0, i, i + 1), {in, out});
+    VarPtr yi = ag::MatMul(flat, wi);
+    acc = acc ? ag::Add(acc, yi) : yi;
+  }
+  VarPtr y = ag::Reshape(ag::Add(acc, params[2]), {t_len, n, out});
+  ExpectSameGrads(got, GradsOf(y, x, params));
 }
 
 }  // namespace
