@@ -36,24 +36,24 @@
 //                 [--max_queue 256] [--admission reject|block]
 //                 [--chaos 0] [--chaos_seed 1234] [--json out.json]
 //
-// --mode shard (ISSUE 10 acceptance bench, BENCH_serve.json): replays the
-// cached hot path at --connections concurrent epoll-multiplexed clients
-// through two stacks — the thread-per-connection SocketServer over the
-// single-process InferenceServer, then the epoll AsyncServer over a
-// --shards ShardRouter — and reports the QPS/latency of each plus the
-// speedup. A third phase re-runs the epoll stack paced at 60% of its
-// measured capacity: saturated closed-loop percentiles are queueing delay
-// by Little's law, so the paced phase is where service latency (the p99
-// bar) is read. A final uncached overload burst (small queue, DEADLINE on
-// every line, 2x connections) re-checks the serving accounting invariant
-// through the new stack; a violation fails the bench.
+// --mode front (BENCH_serve.json): replays the cached hot path at
+// --connections concurrent epoll-multiplexed clients through both socket
+// front ends over one InferenceServer — the thread-per-connection
+// SocketServer, then the epoll AsyncServer — and reports the QPS/latency
+// of each plus the speedup. A third phase re-runs the epoll stack paced at
+// --latency_fraction of its measured capacity: saturated closed-loop
+// percentiles are queueing delay by Little's law, so the paced phase is
+// where service latency (the p99 bar) is read. A final uncached overload
+// burst (small queue, DEADLINE on every line, 2x connections) re-checks
+// the serving accounting invariant through the epoll stack; a violation
+// fails the bench.
 //
-//   ./bench_serve --mode shard [--connections 1000] [--shard_seconds 2]
-//                 [--shards 4] [--executor_threads 16] [--json out.json]
+//   ./bench_serve --mode front [--connections 1000] [--front_seconds 2]
+//                 [--executor_threads 16] [--json BENCH_serve.json]
 //
 // Every server knob is a serve::ServerConfig flag (one shared surface —
-// see serve/config.h): --front, --shards, --max_batch, --cache,
-// --max_queue, --admission, ...
+// see serve/config.h): --front, --max_batch, --cache, --max_queue,
+// --admission, ...
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
@@ -79,7 +79,6 @@
 #include "serve/registry.h"
 #include "serve/replay.h"
 #include "serve/server.h"
-#include "serve/shard_router.h"
 #include "serve/socket_server.h"
 
 namespace {
@@ -132,19 +131,21 @@ void PrintConfig(const char* label, const serve::Metrics& metrics,
                  const LoadResult& load) {
   std::printf("%-22s %8.0f qps   p50 %6.0fus  p95 %6.0fus  p99 %6.0fus   "
               "%" PRIu64 " forwards, mean batch %.1f\n",
-              label, load.qps, metrics.latency.PercentileMicros(0.50),
-              metrics.latency.PercentileMicros(0.95),
-              metrics.latency.PercentileMicros(0.99),
-              metrics.forwards.load(), metrics.batch_size.MeanSize());
+              label, load.qps, metrics.latency.Percentile(0.50),
+              metrics.latency.Percentile(0.95),
+              metrics.latency.Percentile(0.99), metrics.forwards.Value(),
+              metrics.batch_size.Mean());
   std::printf("  batch sizes:");
-  for (int64_t s = 1; s <= serve::BatchSizeHistogram::kMaxTracked; ++s) {
-    const uint64_t n = metrics.batch_size.CountForSize(s);
-    if (n > 0) std::printf("  %lld:%" PRIu64, static_cast<long long>(s), n);
+  const obs::Histogram& sizes = metrics.batch_size;
+  for (int s = 1; s <= serve::Metrics::kMaxBatchTracked; ++s) {
+    const uint64_t n = sizes.BucketCount(s);
+    if (n > 0) std::printf("  %d:%" PRIu64, s, n);
   }
-  if (metrics.batch_size.overflow() > 0) {
+  const uint64_t overflow = sizes.BucketCount(sizes.num_buckets() - 1);
+  if (overflow > 0) {
     std::printf("  >%lld:%" PRIu64,
-                static_cast<long long>(serve::BatchSizeHistogram::kMaxTracked),
-                metrics.batch_size.overflow());
+                static_cast<long long>(serve::Metrics::kMaxBatchTracked),
+                overflow);
   }
   std::printf("\n");
 }
@@ -277,7 +278,7 @@ int main(int argc, char** argv) {
   bool chaos = false;
   int64_t chaos_seed = 1234;
   int64_t connections = 1000;
-  double shard_seconds = 2.0;
+  double front_seconds = 2.0;
   double latency_fraction = 0.2;
   std::string json;
 
@@ -288,7 +289,6 @@ int main(int argc, char** argv) {
   serve::ServerConfig scfg;
   scfg.enable_cache = false;
   scfg.max_queue = 256;
-  scfg.num_shards = 2;
 
   // A small market keeps the bench fast, but the universe must be big
   // enough that the forward pass dominates per-request overhead —
@@ -300,11 +300,12 @@ int main(int argc, char** argv) {
   core::RtGcnConfig config;
 
   FlagSet fs("Serving load generator: batched-vs-unbatched QPS (--mode "
-             "batch) or overload robustness through the socket stack "
-             "(--mode overload).");
-  fs.RegisterChoice("mode", &mode, {"batch", "overload", "shard"},
+             "batch), overload robustness through the socket stack "
+             "(--mode overload) or epoll vs threaded front end (--mode "
+             "front).");
+  fs.RegisterChoice("mode", &mode, {"batch", "overload", "front"},
                     "batch comparison, overload/chaos robustness, or "
-                    "epoll+shard scatter-gather vs threaded baseline");
+                    "epoll vs threaded front end");
   fs.Register("clients", &clients, "closed-loop client threads");
   fs.Register("requests", &requests, "blocking Score() calls per client");
   fs.Register("phase", &phase,
@@ -325,11 +326,11 @@ int main(int argc, char** argv) {
               "overload: inject reply faults (delay/drop/truncate/reset)");
   fs.Register("chaos_seed", &chaos_seed, "overload: fault-injector seed");
   fs.Register("connections", &connections,
-              "shard: concurrent replay connections per phase");
-  fs.Register("shard_seconds", &shard_seconds,
-              "shard: seconds per measured phase");
+              "front: concurrent replay connections per phase");
+  fs.Register("front_seconds", &front_seconds,
+              "front: seconds per measured phase");
   fs.Register("latency_fraction", &latency_fraction,
-              "shard: paced-phase offered load as a fraction of measured "
+              "front: paced-phase offered load as a fraction of measured "
               "epoll capacity");
   fs.Register("json", &json, "write the results as JSON to this path");
   scfg.RegisterFlags(&fs);
@@ -426,19 +427,19 @@ int main(int argc, char** argv) {
     registry.Stop();
 
     // The serving accounting invariant must survive overload and chaos.
-    const int64_t srv_requests = metrics.requests.load();
-    const int64_t accounted = metrics.responses_ok.load() +
-                              metrics.responses_error.load() +
-                              metrics.expired.load() + metrics.shed.load();
+    const int64_t srv_requests = metrics.requests.Value();
+    const int64_t accounted = metrics.responses_ok.Value() +
+                              metrics.responses_error.Value() +
+                              metrics.expired.Value() + metrics.shed.Value();
     std::printf("accounting: requests %lld == ok %lld + err %lld + expired "
                 "%lld + shed %lld (%s); busy_rejected %lld\n",
                 static_cast<long long>(srv_requests),
-                static_cast<long long>(metrics.responses_ok.load()),
-                static_cast<long long>(metrics.responses_error.load()),
-                static_cast<long long>(metrics.expired.load()),
-                static_cast<long long>(metrics.shed.load()),
+                static_cast<long long>(metrics.responses_ok.Value()),
+                static_cast<long long>(metrics.responses_error.Value()),
+                static_cast<long long>(metrics.expired.Value()),
+                static_cast<long long>(metrics.shed.Value()),
                 srv_requests == accounted ? "OK" : "VIOLATED",
-                static_cast<long long>(metrics.busy_rejected.load()));
+                static_cast<long long>(metrics.busy_rejected.Value()));
     if (chaos) {
       std::printf("chaos: %" PRIu64 " plans, %" PRIu64 " delays, %" PRIu64
                   " drops, %" PRIu64 " truncates, %" PRIu64 " resets\n",
@@ -472,11 +473,11 @@ int main(int argc, char** argv) {
       }
       out << "  ],\n";
       out << "  \"accounting\": {\"requests\": " << srv_requests
-          << ", \"responses_ok\": " << metrics.responses_ok.load()
-          << ", \"responses_error\": " << metrics.responses_error.load()
-          << ", \"expired\": " << metrics.expired.load()
-          << ", \"shed\": " << metrics.shed.load()
-          << ", \"busy_rejected\": " << metrics.busy_rejected.load()
+          << ", \"responses_ok\": " << metrics.responses_ok.Value()
+          << ", \"responses_error\": " << metrics.responses_error.Value()
+          << ", \"expired\": " << metrics.expired.Value()
+          << ", \"shed\": " << metrics.shed.Value()
+          << ", \"busy_rejected\": " << metrics.busy_rejected.Value()
           << ", \"holds\": "
           << (srv_requests == accounted ? "true" : "false") << "},\n";
       out << "  \"chaos_faults\": {\"plans\": " << injector.plans()
@@ -490,11 +491,11 @@ int main(int argc, char** argv) {
     return srv_requests == accounted ? 0 : 1;
   }
 
-  if (mode == "shard") {
+  if (mode == "front") {
     // Headline comparison: the cached hot path at identical concurrency
-    // through (a) the thread-per-connection SocketServer over the
-    // single-process InferenceServer and (b) the epoll AsyncServer over
-    // the sharded ShardRouter. The cache must be on for this measurement.
+    // through (a) the thread-per-connection SocketServer and (b) the epoll
+    // AsyncServer, both over one InferenceServer. The cache must be on for
+    // this measurement.
     scfg.enable_cache = true;
 
     // Replay script: cached SCORE lookups with an occasional RANK, spread
@@ -516,9 +517,9 @@ int main(int argc, char** argv) {
       uint64_t requests = 0, ok = 0, err = 0, expired = 0, shed = 0;
       bool accounted = false;
     };
-    auto run_phase = [&](bool epoll, int64_t shards, int64_t conns,
-                         double seconds, const std::vector<std::string>& lines,
-                         serve::ServerConfig cfg,
+    auto run_phase = [&](bool epoll, int64_t conns, double seconds,
+                         const std::vector<std::string>& lines,
+                         const serve::ServerConfig& cfg,
                          double target_qps = 0) -> Phase {
       serve::Metrics metrics;
       serve::ModelRegistry registry(
@@ -526,39 +527,24 @@ int main(int argc, char** argv) {
           [make_predictor] { return serve::WrapPredictor(make_predictor()); },
           &metrics);
       registry.Start().Abort();
-      std::unique_ptr<serve::InferenceServer> single;
-      std::unique_ptr<serve::ShardRouter> router;
-      serve::Backend* backend = nullptr;
-      if (shards <= 1) {
-        single = std::make_unique<serve::InferenceServer>(
-            &dataset, &registry, cfg.server_options(), &metrics);
-        single->Start().Abort();
-        backend = single.get();
-      } else {
-        cfg.num_shards = shards;
-        router = std::make_unique<serve::ShardRouter>(
-            serve::ShardRouter::DatasetScoreFn(&dataset),
-            dataset.num_stocks(), &registry, cfg.shard_options(), &metrics);
-        router->Start().Abort();
-        backend = router.get();
-      }
+      serve::InferenceServer server(&dataset, &registry,
+                                    cfg.server_options(), &metrics);
+      server.Start().Abort();
       if (cfg.enable_cache) {
         // Warm every (version, day) entry so the timed window measures the
         // cache-hit path, not first-touch forwards.
-        for (const int64_t day : days) {
-          backend->Rank(day, {}).status().Abort();
-        }
+        for (const int64_t day : days) server.Rank(day).status().Abort();
       }
       std::unique_ptr<serve::AsyncServer> aserver;
       std::unique_ptr<serve::SocketServer> tserver;
       int port = 0;
       if (epoll) {
-        aserver = std::make_unique<serve::AsyncServer>(backend, &metrics,
+        aserver = std::make_unique<serve::AsyncServer>(&server, &metrics,
                                                        cfg.async_options());
         aserver->Start().Abort();
         port = aserver->port();
       } else {
-        tserver = std::make_unique<serve::SocketServer>(backend, &metrics,
+        tserver = std::make_unique<serve::SocketServer>(&server, &metrics,
                                                         cfg.socket_options());
         tserver->Start().Abort();
         port = tserver->port();
@@ -574,14 +560,13 @@ int main(int argc, char** argv) {
       phase.report = replay.Run().MoveValueOrDie();
       if (aserver) aserver->Stop();
       if (tserver) tserver->Stop();
-      if (router) router->Stop();
-      if (single) single->Stop();
+      server.Stop();
       registry.Stop();
-      phase.requests = metrics.requests.load();
-      phase.ok = metrics.responses_ok.load();
-      phase.err = metrics.responses_error.load();
-      phase.expired = metrics.expired.load();
-      phase.shed = metrics.shed.load();
+      phase.requests = metrics.requests.Value();
+      phase.ok = metrics.responses_ok.Value();
+      phase.err = metrics.responses_error.Value();
+      phase.expired = metrics.expired.Value();
+      phase.shed = metrics.shed.Value();
       phase.accounted =
           phase.requests == phase.ok + phase.err + phase.expired + phase.shed;
       return phase;
@@ -594,38 +579,36 @@ int main(int argc, char** argv) {
                   p.accounted ? "OK" : "VIOLATED");
     };
 
-    std::printf("bench_serve shard: %lld connections x %.1fs, %lld stocks, "
-                "%zu days, %lld shards, %lld executors\n",
-                static_cast<long long>(connections), shard_seconds,
+    const unsigned nproc = std::thread::hardware_concurrency();
+    std::printf("bench_serve front: %lld connections x %.1fs, %lld stocks, "
+                "%zu days, %lld executors, %u cpus\n",
+                static_cast<long long>(connections), front_seconds,
                 static_cast<long long>(dataset.num_stocks()), days.size(),
-                static_cast<long long>(scfg.num_shards),
-                static_cast<long long>(scfg.executor_threads));
-    const Phase threaded = run_phase(/*epoll=*/false, /*shards=*/1,
-                                     connections, shard_seconds, script, scfg);
-    print_phase("threaded x1", threaded);
-    const Phase sharded = run_phase(/*epoll=*/true, scfg.num_shards,
-                                    connections, shard_seconds, script, scfg);
-    print_phase("epoll sharded", sharded);
+                static_cast<long long>(scfg.executor_threads), nproc);
+    const Phase threaded = run_phase(/*epoll=*/false, connections,
+                                     front_seconds, script, scfg);
+    print_phase("threaded", threaded);
+    const Phase epoll = run_phase(/*epoll=*/true, connections, front_seconds,
+                                  script, scfg);
+    print_phase("epoll", epoll);
     const double speedup =
-        sharded.report.qps / std::max(threaded.report.qps, 1.0);
-    std::printf("speedup (epoll sharded / threaded): %.2fx\n", speedup);
+        epoll.report.qps / std::max(threaded.report.qps, 1.0);
+    std::printf("speedup (epoll / threaded): %.2fx\n", speedup);
 
     // Latency with headroom: the saturated closed-loop percentiles above
     // are queueing delay (Little's law: conns / qps), not service time.
-    // Re-run the epoll+shard stack paced at a fraction of its measured
-    // capacity — the regime a provisioned deployment runs in — for the
-    // p99 bar.
-    const double latency_target = latency_fraction * sharded.report.qps;
-    const Phase latency =
-        run_phase(/*epoll=*/true, scfg.num_shards, connections, shard_seconds,
-                  script, scfg, latency_target);
+    // Re-run the epoll stack paced at a fraction of its measured capacity
+    // — the regime a provisioned deployment runs in — for the p99 bar.
+    const double latency_target = latency_fraction * epoll.report.qps;
+    const Phase latency = run_phase(/*epoll=*/true, connections, front_seconds,
+                                    script, scfg, latency_target);
     char latency_label[48];
     std::snprintf(latency_label, sizeof(latency_label), "epoll paced %.2fx",
                   latency_fraction);
     print_phase(latency_label, latency);
 
     // Accounting at heavy overload: uncached blocking RANKs with deadlines
-    // and a small queue through the epoll+shard stack. The closed-loop
+    // and a small queue through the epoll stack. The closed-loop
     // connection count drives offered load far past the uncached forward
     // capacity, so sheds and expiries dominate — and every one of them
     // must be accounted.
@@ -638,9 +621,8 @@ int main(int argc, char** argv) {
                              std::to_string(deadline_ms));
     }
     const int64_t burst_conns = std::min<int64_t>(2 * connections, 4000);
-    const Phase burst =
-        run_phase(/*epoll=*/true, scfg.num_shards, burst_conns,
-                  shard_seconds, burst_script, burst_cfg);
+    const Phase burst = run_phase(/*epoll=*/true, burst_conns, front_seconds,
+                                  burst_script, burst_cfg);
     print_phase("overload burst", burst);
     std::printf("accounting under overload: requests %" PRIu64 " == ok %"
                 PRIu64 " + err %" PRIu64 " + expired %" PRIu64 " + shed %"
@@ -648,7 +630,7 @@ int main(int argc, char** argv) {
                 burst.requests, burst.ok, burst.err, burst.expired,
                 burst.shed, burst.accounted ? "OK" : "VIOLATED");
 
-    const bool pass = threaded.accounted && sharded.accounted &&
+    const bool pass = threaded.accounted && epoll.accounted &&
                       latency.accounted && burst.accounted;
     if (!json.empty()) {
       std::ofstream out(json);
@@ -665,15 +647,17 @@ int main(int argc, char** argv) {
       };
       out << "{\n  \"bench\": \"serve\",\n";
       out << "  \"config\": {\"connections\": " << connections
-          << ", \"seconds\": " << shard_seconds
-          << ", \"shards\": " << scfg.num_shards
+          << ", \"seconds\": " << front_seconds
           << ", \"executor_threads\": " << scfg.executor_threads
+          << ", \"nproc\": " << nproc
           << ", \"stocks\": " << dataset.num_stocks()
+          << ", \"train_epochs\": " << train_epochs
+          << ", \"max_queue\": " << scfg.max_queue
           << ", \"burst_connections\": " << burst_conns << "},\n";
       out << "  \"threaded\": ";
       phase_json(out, threaded);
       out << ",\n  \"epoll\": ";
-      phase_json(out, sharded);
+      phase_json(out, epoll);
       out << ",\n  \"speedup\": " << speedup << ",\n";
       out << "  \"latency_target_qps\": " << latency_target << ",\n";
       out << "  \"latency\": ";

@@ -215,7 +215,7 @@ void AsyncServer::HandleAccept() {
     }
     if (!conn_gate_.Admit().ok()) {
       if (metrics_) {
-        metrics_->busy_rejected.fetch_add(1, std::memory_order_relaxed);
+        metrics_->busy_rejected.Increment();
       }
       const char kBusy[] = "BUSY too many connections\n";
       [[maybe_unused]] const ssize_t n =
@@ -274,7 +274,7 @@ void AsyncServer::IngestInput(uint64_t id) {
   if (!conn.closing &&
       static_cast<int64_t>(conn.inbuf.size()) > options_.max_line_bytes) {
     if (metrics_) {
-      metrics_->oversized_lines.fetch_add(1, std::memory_order_relaxed);
+      metrics_->oversized_lines.Increment();
     }
     conn.outbuf += "ERR line too long\n";
     conn.closing = true;
@@ -395,7 +395,7 @@ void AsyncServer::FlushConn(uint64_t id) {
     // Peer is gone (EPIPE/ECONNRESET) — a per-connection error, never a
     // process signal thanks to MSG_NOSIGNAL.
     if (metrics_) {
-      metrics_->send_errors.fetch_add(1, std::memory_order_relaxed);
+      metrics_->send_errors.Increment();
     }
     CloseConn(id);
     return;

@@ -21,17 +21,13 @@ void ServerConfig::RegisterFlags(FlagSet* fs, const std::string& prefix) {
                "epoll front end: per-connection reply buffer cap");
   fs->Register(name("max_pending_lines"), &max_pending_lines,
                "epoll front end: per-connection undispatched line cap");
-  fs->Register(name("shards"), &num_shards,
-               "worker shards for scatter-gather serving");
-  fs->Register(name("virtual_nodes"), &virtual_nodes,
-               "consistent-hash ring points per shard");
   fs->Register(name("max_batch"), &max_batch, "micro-batch flush size");
   fs->Register(name("batch_timeout_us"), &batch_timeout_us,
                "micro-batch window after a batch's first request");
   fs->Register(name("cache"), &enable_cache,
                "enable the (version, day) score cache");
   fs->Register(name("cache_capacity"), &cache_capacity,
-               "cached (version, day) entries per shard (FIFO)");
+               "cached (version, day) entries (FIFO)");
   fs->Register(name("max_queue"), &max_queue,
                "pending-request bound (admission)");
   fs->RegisterChoice(name("admission"), &admission, {"reject", "block"},
@@ -64,9 +60,6 @@ Status ServerConfig::Validate() const {
     return Status::InvalidArgument("admission must be reject or block, got \"",
                                    admission, "\"");
   }
-  if (num_shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1, got ", num_shards);
-  }
   if (max_batch < 1) {
     return Status::InvalidArgument("max_batch must be >= 1, got ", max_batch);
   }
@@ -92,21 +85,6 @@ AdmissionPolicy ServerConfig::admission_policy() const {
 
 InferenceServer::Options ServerConfig::server_options() const {
   InferenceServer::Options opts;
-  opts.max_batch = max_batch;
-  opts.batch_timeout_us = batch_timeout_us;
-  opts.enable_cache = enable_cache;
-  opts.cache_capacity = cache_capacity;
-  opts.max_queue = max_queue;
-  opts.admission = admission_policy();
-  opts.admission_timeout_ms = admission_timeout_ms;
-  opts.degraded_failure_threshold = degraded_failure_threshold;
-  return opts;
-}
-
-ShardRouter::Options ServerConfig::shard_options() const {
-  ShardRouter::Options opts;
-  opts.num_shards = num_shards;
-  opts.virtual_nodes = virtual_nodes;
   opts.max_batch = max_batch;
   opts.batch_timeout_us = batch_timeout_us;
   opts.enable_cache = enable_cache;

@@ -1,8 +1,8 @@
 // One configuration surface for the whole serving stack (DESIGN.md §15).
 //
 // Before this existed every layer grew its own Options struct —
-// InferenceServer, SocketServer, AsyncServer, ShardRouter,
-// AdmissionController, Client — and every binary (serve_server,
+// InferenceServer, SocketServer, AsyncServer, AdmissionController,
+// Client — and every binary (serve_server,
 // bench_serve, chaos harnesses) re-declared the same dozen flags with
 // drifting names and defaults. ServerConfig is the single source of
 // truth: one struct, one RegisterFlags() that binds every knob to a
@@ -22,7 +22,6 @@
 #include "serve/async_server.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "serve/shard_router.h"
 #include "serve/socket_server.h"
 
 namespace rtgcn::serve {
@@ -41,13 +40,7 @@ struct ServerConfig {
   int64_t max_outbox_bytes = 1 << 20;  ///< epoll: per-conn reply buffer cap
   int64_t max_pending_lines = 128;     ///< epoll: per-conn line backlog cap
 
-  // Sharding. num_shards == 1 still routes through the ShardRouter when a
-  // binary asks for one; binaries may also use it to pick the
-  // single-process InferenceServer directly.
-  int64_t num_shards = 1;
-  int64_t virtual_nodes = 64;  ///< ring points per shard
-
-  // Micro-batching + score cache (per shard, or the whole server).
+  // Micro-batching + score cache.
   int64_t max_batch = 32;
   int64_t batch_timeout_us = 200;
   bool enable_cache = true;
@@ -80,7 +73,6 @@ struct ServerConfig {
 
   // Projections: each layer's Options derived from the shared fields.
   InferenceServer::Options server_options() const;
-  ShardRouter::Options shard_options() const;
   SocketServer::Options socket_options() const;
   AsyncServer::Options async_options() const;
   Client::Options client_options() const;

@@ -666,8 +666,8 @@ bool TryExecuteLineFast(Backend* backend, Metrics* metrics,
       return false;
     }
     if (metrics) {
-      metrics->requests.fetch_add(1, std::memory_order_relaxed);
-      metrics->responses_ok.fetch_add(1, std::memory_order_relaxed);
+      metrics->requests.Increment();
+      metrics->responses_ok.Increment();
       metrics->latency.Record(obs::ElapsedMicrosSince(t0));
     }
     *reply = FormatReply(MakeScoreReplyFor(request, score));
@@ -677,8 +677,8 @@ bool TryExecuteLineFast(Backend* backend, Metrics* metrics,
     RankReply rank;
     if (!backend->TryRankCached(request.day, &rank)) return false;
     if (metrics) {
-      metrics->requests.fetch_add(1, std::memory_order_relaxed);
-      metrics->responses_ok.fetch_add(1, std::memory_order_relaxed);
+      metrics->requests.Increment();
+      metrics->responses_ok.Increment();
       metrics->latency.Record(obs::ElapsedMicrosSince(t0));
     }
     *reply = FormatReply(MakeRankReplyFor(request, rank));

@@ -88,9 +88,8 @@ struct RankEntry {
   float score = 0;
 };
 
-/// \brief What a front end needs from a query engine. Implemented by the
-/// single-process InferenceServer and by the sharded ShardRouter, so every
-/// front end serves either interchangeably.
+/// \brief What a front end needs from a query engine. InferenceServer
+/// implements it; decorators (tracing, tests) wrap one.
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -129,6 +128,8 @@ class Backend {
   virtual int64_t CurrentVersion() const = 0;
 
   /// Worker shards behind this backend (the PROTO ack's SHARDS field).
+  /// Always 1: one InferenceServer serves the whole universe. The field
+  /// stays in the ack so v2 clients keep parsing it.
   virtual int64_t num_shards() const { return 1; }
 };
 

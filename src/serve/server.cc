@@ -13,28 +13,42 @@ namespace rtgcn::serve {
 
 namespace {
 
-// (version, day) cache key. Checkpoint epochs are capped at 2^40 by the
-// checkpoint name parser and a day index is bounded by the price panel
-// (decades of trading days << 2^20), so the packing is collision-free.
-uint64_t CacheKey(int64_t version, int64_t day) {
-  return (static_cast<uint64_t>(version) << 20) |
-         static_cast<uint64_t>(day);
-}
-
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
+
+// ScoreFn over a WindowDataset: the batch-serving forward.
+InferenceServer::ScoreFn DatasetScoreFn(const market::WindowDataset* data) {
+  RTGCN_CHECK(data != nullptr);
+  return [data](const ModelSnapshot& snapshot,
+                int64_t day) -> Result<std::vector<float>> {
+    if (day < data->first_day() || day > data->last_day()) {
+      return Status::InvalidArgument("day ", day, " outside the valid range [",
+                                     data->first_day(), ", ",
+                                     data->last_day(), "]");
+    }
+    const Tensor scores = snapshot.Score(data->Features(day));
+    return std::vector<float>(scores.data(), scores.data() + scores.numel());
+  };
+}
 
 }  // namespace
 
 InferenceServer::InferenceServer(const market::WindowDataset* data,
                                  ModelRegistry* registry, Options options,
                                  Metrics* metrics)
-    : data_(data),
+    : InferenceServer(DatasetScoreFn(data), data->num_stocks(), registry,
+                      options, metrics) {}
+
+InferenceServer::InferenceServer(ScoreFn score_fn, int64_t num_stocks,
+                                 ModelRegistry* registry, Options options,
+                                 Metrics* metrics)
+    : score_fn_(std::move(score_fn)),
+      num_stocks_(num_stocks),
       registry_(registry),
       options_(options),
       metrics_(metrics),
       admission_({std::max<int64_t>(options.max_queue, 1), options.admission,
                   options.admission_timeout_ms, "requests"}) {
-  RTGCN_CHECK(data_ != nullptr);
+  RTGCN_CHECK(score_fn_ != nullptr);
   RTGCN_CHECK(registry_ != nullptr);
   options_.max_batch = std::max<int64_t>(options_.max_batch, 1);
   options_.batch_timeout_us = std::max<int64_t>(options_.batch_timeout_us, 0);
@@ -74,7 +88,7 @@ void InferenceServer::Stop() {
 
 Result<InferenceServer::Scored> InferenceServer::Submit(
     int64_t day, const RequestOptions& request) {
-  if (metrics_) metrics_->requests.fetch_add(1, std::memory_order_relaxed);
+  if (metrics_) metrics_->requests.Increment();
   const auto now = std::chrono::steady_clock::now();
   const auto deadline =
       request.deadline_ms > 0
@@ -87,7 +101,7 @@ Result<InferenceServer::Scored> InferenceServer::Submit(
     if (metrics_) {
       (admitted.code() == StatusCode::kDeadlineExceeded ? metrics_->expired
                                                         : metrics_->shed)
-          .fetch_add(1, std::memory_order_relaxed);
+          .Increment();
     }
     return admitted;
   }
@@ -96,7 +110,7 @@ Result<InferenceServer::Scored> InferenceServer::Submit(
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (!running_ || draining_) {
       admission_.Release();
-      if (metrics_) metrics_->shed.fetch_add(1, std::memory_order_relaxed);
+      if (metrics_) metrics_->shed.Increment();
       return Status::Unavailable(running_ ? "draining: server is stopping"
                                           : "draining: server is not running");
     }
@@ -112,8 +126,7 @@ Result<InferenceServer::Scored> InferenceServer::Submit(
   return future.get();
 }
 
-Result<InferenceServer::RankReply> InferenceServer::Rank(
-    int64_t day, RequestOptions request) {
+Result<RankReply> InferenceServer::Rank(int64_t day, RequestOptions request) {
   obs::Span span("serve.rank", "serve");
   auto scored = Submit(day, request);
   if (!scored.ok()) return scored.status();
@@ -126,16 +139,16 @@ Result<InferenceServer::RankReply> InferenceServer::Rank(
   return reply;
 }
 
-Result<InferenceServer::ScoreReply> InferenceServer::Score(
-    int64_t day, int64_t stock, RequestOptions request) {
+Result<ScoreReply> InferenceServer::Score(int64_t day, int64_t stock,
+                                          RequestOptions request) {
   obs::Span span("serve.score", "serve");
-  if (stock < 0 || stock >= data_->num_stocks()) {
+  if (stock < 0 || stock >= num_stocks_) {
     if (metrics_) {
-      metrics_->requests.fetch_add(1, std::memory_order_relaxed);
-      metrics_->responses_error.fetch_add(1, std::memory_order_relaxed);
+      metrics_->requests.Increment();
+      metrics_->responses_error.Increment();
     }
     return Status::InvalidArgument("stock ", stock, " out of range [0, ",
-                                   data_->num_stocks(), ")");
+                                   num_stocks_, ")");
   }
   auto scored = Submit(day, request);
   if (!scored.ok()) return scored.status();
@@ -144,28 +157,38 @@ Result<InferenceServer::ScoreReply> InferenceServer::Score(
   reply.model_version = s.version;
   reply.score = s.day->scores[static_cast<size_t>(stock)];
   reply.rank = s.day->ranks[static_cast<size_t>(stock)];
-  reply.num_stocks = data_->num_stocks();
+  reply.num_stocks = num_stocks_;
   reply.stale = s.stale;
   return reply;
 }
 
-bool InferenceServer::TryRankCached(int64_t day, RankReply* out) {
-  if (!options_.enable_cache) return false;
+std::shared_ptr<const InferenceServer::DayScores>
+InferenceServer::CachedForCurrent(int64_t day, int64_t* version) {
+  if (!options_.enable_cache) return nullptr;
   const std::shared_ptr<const ModelSnapshot> snapshot = registry_->Current();
-  if (!snapshot) return false;
+  if (!snapshot) return nullptr;
   // Only the healthy path may skip the queue: degraded (stale flags,
   // fallbacks) and draining (DRAINING replies) must see the full
   // Submit()-side accounting.
-  if (Health() != HealthState::kServing) return false;
+  if (Health() != HealthState::kServing) return nullptr;
   std::shared_ptr<const DayScores> entry;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = cache_.find(CacheKey(snapshot->version(), day));
-    if (it == cache_.end()) return false;
+    auto it = cache_.find({snapshot->version(), day});
+    if (it == cache_.end()) return nullptr;
     entry = it->second;
   }
-  if (metrics_) metrics_->cache_hits.fetch_add(1, std::memory_order_relaxed);
-  out->model_version = snapshot->version();
+  if (metrics_) metrics_->cache_hits.Increment();
+  *version = snapshot->version();
+  return entry;
+}
+
+bool InferenceServer::TryRankCached(int64_t day, RankReply* out) {
+  int64_t version = -1;
+  const std::shared_ptr<const DayScores> entry =
+      CachedForCurrent(day, &version);
+  if (!entry) return false;
+  out->model_version = version;
   out->day = day;
   out->scores = entry->scores;
   out->stale = false;
@@ -174,23 +197,15 @@ bool InferenceServer::TryRankCached(int64_t day, RankReply* out) {
 
 bool InferenceServer::TryScoreCached(int64_t day, int64_t stock,
                                      ScoreReply* out) {
-  if (!options_.enable_cache) return false;
-  if (stock < 0 || stock >= data_->num_stocks()) return false;
-  const std::shared_ptr<const ModelSnapshot> snapshot = registry_->Current();
-  if (!snapshot) return false;
-  if (Health() != HealthState::kServing) return false;
-  std::shared_ptr<const DayScores> entry;
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = cache_.find(CacheKey(snapshot->version(), day));
-    if (it == cache_.end()) return false;
-    entry = it->second;
-  }
-  if (metrics_) metrics_->cache_hits.fetch_add(1, std::memory_order_relaxed);
-  out->model_version = snapshot->version();
+  if (stock < 0 || stock >= num_stocks_) return false;
+  int64_t version = -1;
+  const std::shared_ptr<const DayScores> entry =
+      CachedForCurrent(day, &version);
+  if (!entry) return false;
+  out->model_version = version;
   out->score = entry->scores[static_cast<size_t>(stock)];
   out->rank = entry->ranks[static_cast<size_t>(stock)];
-  out->num_stocks = data_->num_stocks();
+  out->num_stocks = num_stocks_;
   out->stale = false;
   return true;
 }
@@ -296,7 +311,7 @@ void InferenceServer::BatchLoop() {
     lock.unlock();
     for (Pending& p : dead) {
       admission_.Release();
-      if (metrics_) metrics_->expired.fetch_add(1, std::memory_order_relaxed);
+      if (metrics_) metrics_->expired.Increment();
       p.promise.set_value(Status::DeadlineExceeded(
           "deadline exceeded after ", obs::ElapsedMicrosSince(p.enqueue_us),
           "us in queue"));
@@ -309,31 +324,32 @@ void InferenceServer::BatchLoop() {
 
 Result<std::shared_ptr<const InferenceServer::DayScores>>
 InferenceServer::ScoresFor(const ModelSnapshot& snapshot, int64_t day) {
-  if (day < data_->first_day() || day > data_->last_day()) {
-    return Status::InvalidArgument("day ", day, " outside the valid range [",
-                                   data_->first_day(), ", ",
-                                   data_->last_day(), "]");
-  }
-  const uint64_t key = CacheKey(snapshot.version(), day);
+  const CacheKey key{snapshot.version(), day};
   if (options_.enable_cache) {
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = cache_.find(key);
     if (it != cache_.end()) {
-      if (metrics_) {
-        metrics_->cache_hits.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (metrics_) metrics_->cache_hits.Increment();
       return it->second;
     }
   }
-  if (metrics_) {
-    metrics_->cache_misses.fetch_add(1, std::memory_order_relaxed);
-    metrics_->forwards.fetch_add(1, std::memory_order_relaxed);
+  Result<std::vector<float>> scored = Status::Internal("unset");
+  {
+    obs::Span span("serve.forward", "serve");
+    scored = score_fn_(snapshot, day);
   }
-  obs::Span span("serve.forward", "serve");
-  const Tensor scores = snapshot.Score(data_->Features(day));
-  const int64_t n = scores.numel();
+  if (!scored.ok()) return scored.status();
+  if (metrics_) {
+    metrics_->cache_misses.Increment();
+    metrics_->forwards.Increment();
+  }
   auto entry = std::make_shared<DayScores>();
-  entry->scores.assign(scores.data(), scores.data() + n);
+  entry->scores = scored.MoveValueOrDie();
+  const int64_t n = static_cast<int64_t>(entry->scores.size());
+  if (n != num_stocks_) {
+    return Status::Internal("score function returned ", n,
+                            " scores for a universe of ", num_stocks_);
+  }
   // Dense ranks, best score first; ties broken by stock id so the ranking
   // is deterministic.
   std::vector<int64_t> order(static_cast<size_t>(n));
@@ -387,8 +403,8 @@ void InferenceServer::RememberScores(
 void InferenceServer::ExecuteBatch(std::vector<Pending> batch) {
   obs::Span span("serve.batch", "serve");
   if (metrics_) {
-    metrics_->batches.fetch_add(1, std::memory_order_relaxed);
-    metrics_->batch_size.Record(static_cast<int64_t>(batch.size()));
+    metrics_->batches.Increment();
+    metrics_->batch_size.Record(batch.size());
   }
   // Pin exactly one published snapshot for the whole batch: every response
   // it produces maps to this version.
@@ -428,10 +444,9 @@ void InferenceServer::ExecuteBatch(std::vector<Pending> batch) {
       // Clamped single-clock-source elapsed time: can never go negative or
       // wrap, even if the clock is skewed (obs/clock.h).
       metrics_->latency.Record(obs::ElapsedMicrosSince(p.enqueue_us));
-      (ok ? metrics_->responses_ok : metrics_->responses_error)
-          .fetch_add(1, std::memory_order_relaxed);
+      (ok ? metrics_->responses_ok : metrics_->responses_error).Increment();
       if (ok && result.ValueOrDie().stale) {
-        metrics_->stale_served.fetch_add(1, std::memory_order_relaxed);
+        metrics_->stale_served.Increment();
       }
     }
     obs::Span reply("serve.reply", "serve");

@@ -1,6 +1,11 @@
 // In-process inference runtime: dynamic micro-batching over a pinned model
 // snapshot, with a per-(model_version, day) score cache.
 //
+// What a forward pass computes is a constructor argument: a ScoreFn maps
+// (snapshot, day) to all-stock scores. The WindowDataset constructor
+// serves batch-built features; stream::RollingPipeline::ServeScoreFn()
+// serves the live streaming window through the same server.
+//
 // Queries block in Rank()/Score() while a single batcher thread coalesces
 // them: a batch is flushed when it reaches `max_batch` requests or when
 // `batch_timeout_us` has elapsed since its first request arrived, whichever
@@ -35,12 +40,15 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -52,9 +60,7 @@
 
 namespace rtgcn::serve {
 
-/// \brief Micro-batching inference server over one WindowDataset. The
-/// single-process Backend implementation (and the bit-identity oracle the
-/// sharded router is tested against).
+/// \brief Micro-batching inference server: the one Backend implementation.
 class InferenceServer : public Backend {
  public:
   struct Options {
@@ -72,13 +78,19 @@ class InferenceServer : public Backend {
     int64_t degraded_failure_threshold = 3;
   };
 
-  // Shared serve-API types (serve/protocol.h); the nested spellings
-  // predate the Backend interface and remain for source compatibility.
-  using RequestOptions = serve::RequestOptions;
-  using RankReply = serve::RankReply;
-  using ScoreReply = serve::ScoreReply;
+  /// Full forward pass: all-stock scores for `day` under `snapshot`, or
+  /// the error that query gets. Must be deterministic in (snapshot, day):
+  /// its result is cached under (snapshot version, day).
+  using ScoreFn = std::function<Result<std::vector<float>>(
+      const ModelSnapshot& snapshot, int64_t day)>;
 
-  /// `data` and `registry` must outlive the server; `metrics` may be null.
+  /// Serves `score_fn` over a universe of `num_stocks` stocks. `registry`
+  /// must outlive the server; `metrics` may be null.
+  InferenceServer(ScoreFn score_fn, int64_t num_stocks,
+                  ModelRegistry* registry, Options options, Metrics* metrics);
+
+  /// Serves `data`'s features (days outside [first_day, last_day] are
+  /// InvalidArgument). `data` and `registry` must outlive the server.
   InferenceServer(const market::WindowDataset* data, ModelRegistry* registry,
                   Options options, Metrics* metrics);
   ~InferenceServer() override;
@@ -121,7 +133,6 @@ class InferenceServer : public Backend {
   /// Version of the currently published snapshot, -1 when none.
   int64_t CurrentVersion() const override;
 
-  const market::WindowDataset& data() const { return *data_; }
   const Options& options() const { return options_; }
 
  private:
@@ -144,7 +155,13 @@ class InferenceServer : public Backend {
     std::promise<Result<Scored>> promise;
   };
 
+  // (model version, day): the cache key.
+  using CacheKey = std::pair<int64_t, int64_t>;
+
   Result<Scored> Submit(int64_t day, const RequestOptions& request);
+  // The cached entry for (current version, day) while SERVING, else null.
+  std::shared_ptr<const DayScores> CachedForCurrent(int64_t day,
+                                                    int64_t* version);
   void BatchLoop();
   void ExecuteBatch(std::vector<Pending> batch);
   // Scores `day` under `snapshot`, via the cache when enabled.
@@ -157,7 +174,8 @@ class InferenceServer : public Backend {
                       std::shared_ptr<const DayScores> entry);
   HealthState HealthLocked(bool draining);
 
-  const market::WindowDataset* data_;
+  ScoreFn score_fn_;
+  int64_t num_stocks_;
   ModelRegistry* registry_;
   Options options_;
   Metrics* metrics_;
@@ -175,8 +193,8 @@ class InferenceServer : public Backend {
   // cache_mu_ (the batcher is the only writer, STATS-driven readers none —
   // but tests may run several servers against one registry).
   std::mutex cache_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<const DayScores>> cache_;
-  std::deque<uint64_t> cache_fifo_;
+  std::map<CacheKey, std::shared_ptr<const DayScores>> cache_;
+  std::deque<CacheKey> cache_fifo_;
 
   // day -> newest scores computed for it (any version); the stale-serving
   // fallback. Bounded like the cache, FIFO over first-seen days.

@@ -171,7 +171,7 @@ void SocketServer::AcceptLoop() {
     }
     if (!conn_gate_.Admit().ok()) {
       if (metrics_) {
-        metrics_->busy_rejected.fetch_add(1, std::memory_order_relaxed);
+        metrics_->busy_rejected.Increment();
       }
       SendAll(fd, "BUSY too many connections\n");  // best-effort
       ::close(fd);
@@ -205,7 +205,7 @@ bool SocketServer::SendAll(int fd, std::string_view data) {
       // EAGAIN/EWOULDBLOCK: SO_SNDTIMEO expired — a slow reader whose
       // socket buffer stayed full for the whole timeout. Drop it.
       if (metrics_) {
-        metrics_->send_errors.fetch_add(1, std::memory_order_relaxed);
+        metrics_->send_errors.Increment();
       }
       return false;
     }
@@ -269,7 +269,7 @@ void SocketServer::HandleConnection(int64_t id, int fd) {
     if (open &&
         static_cast<int64_t>(buffer.size()) > options_.max_line_bytes) {
       if (metrics_) {
-        metrics_->oversized_lines.fetch_add(1, std::memory_order_relaxed);
+        metrics_->oversized_lines.Increment();
       }
       SendAll(fd, "ERR line too long\n");
       open = false;

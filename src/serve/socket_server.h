@@ -35,8 +35,7 @@
 
 namespace rtgcn::serve {
 
-/// \brief TCP listener translating the line protocol into Backend calls
-/// (single-process InferenceServer or sharded ShardRouter alike).
+/// \brief TCP listener translating the line protocol into Backend calls.
 /// `server` (and its metrics) must outlive the SocketServer.
 class SocketServer {
  public:

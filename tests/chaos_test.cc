@@ -129,10 +129,8 @@ std::string TestDir(const std::string& name) {
 }
 
 int64_t AccountedRequests(const Metrics& m) {
-  return m.responses_ok.load(std::memory_order_relaxed) +
-         m.responses_error.load(std::memory_order_relaxed) +
-         m.expired.load(std::memory_order_relaxed) +
-         m.shed.load(std::memory_order_relaxed);
+  return m.responses_ok.Value() + m.responses_error.Value() +
+         m.expired.Value() + m.shed.Value();
 }
 
 // ---------------------------------------------------------------------------
@@ -301,21 +299,20 @@ TEST(OverloadTest, DeadlineShedsAtTheDeadlineNotTheBatchWindow) {
   Stack stack("deadline", sopts);
 
   const auto start = steady_clock::now();
-  auto result = stack.server->Score(stack.data.first_day(), 3,
-                                    InferenceServer::RequestOptions{5});
+  auto result =
+      stack.server->Score(stack.data.first_day(), 3, RequestOptions{5});
   const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
       steady_clock::now() - start);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   // Shed at the 5ms deadline, far before the 200ms window flush.
   EXPECT_LT(waited.count(), 150);
-  EXPECT_EQ(stack.metrics.expired.load(std::memory_order_relaxed), 1);
-  EXPECT_EQ(stack.metrics.requests.load(std::memory_order_relaxed),
-            AccountedRequests(stack.metrics));
+  EXPECT_EQ(stack.metrics.expired.Value(), 1);
+  EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
 
   // A generous deadline does not perturb a normal reply.
-  auto ok = stack.server->Score(stack.data.first_day(), 3,
-                                InferenceServer::RequestOptions{10000});
+  auto ok =
+      stack.server->Score(stack.data.first_day(), 3, RequestOptions{10000});
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_FALSE(ok.ValueOrDie().stale);
 }
@@ -342,9 +339,8 @@ TEST(OverloadTest, FullQueueShedsRejectFast) {
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
   EXPECT_LT(waited.count(), 50);  // reject-fast, no parking
-  EXPECT_EQ(stack.metrics.shed.load(std::memory_order_relaxed), 1);
-  EXPECT_EQ(stack.metrics.requests.load(std::memory_order_relaxed),
-            AccountedRequests(stack.metrics));
+  EXPECT_EQ(stack.metrics.shed.Value(), 1);
+  EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
 }
 
 TEST(OverloadTest, BlockWithTimeoutRidesOutTheBurst) {
@@ -366,8 +362,8 @@ TEST(OverloadTest, BlockWithTimeoutRidesOutTheBurst) {
   auto second = stack.server->Score(stack.data.first_day(), 2);
   first.join();
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(stack.metrics.shed.load(std::memory_order_relaxed), 0);
-  EXPECT_EQ(stack.metrics.responses_ok.load(std::memory_order_relaxed), 2);
+  EXPECT_EQ(stack.metrics.shed.Value(), 0);
+  EXPECT_EQ(stack.metrics.responses_ok.Value(), 2);
 }
 
 TEST(OverloadTest, StopDrainsQueuedWorkAndRejectsNewRequests) {
@@ -399,8 +395,7 @@ TEST(OverloadTest, StopDrainsQueuedWorkAndRejectsNewRequests) {
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(after.status().ToString().find("draining"), std::string::npos);
-  EXPECT_EQ(stack.metrics.requests.load(std::memory_order_relaxed),
-            AccountedRequests(stack.metrics));
+  EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
 }
 
 // ---------------------------------------------------------------------------
@@ -426,14 +421,13 @@ TEST(DegradedTest, UnpublishedModelServesCachedScoresAsStale) {
   ASSERT_TRUE(stale.ok()) << stale.status().ToString();
   EXPECT_TRUE(stale.ValueOrDie().stale);
   EXPECT_EQ(stale.ValueOrDie().score, fresh.ValueOrDie().score);
-  EXPECT_GE(stack.metrics.stale_served.load(std::memory_order_relaxed), 1);
+  EXPECT_GE(stack.metrics.stale_served.Value(), 1);
 
   auto missing = stack.server->Score(day + 1, 3);
   EXPECT_FALSE(missing.ok());
 
   EXPECT_NE(stack.server->HealthLine().find("DEGRADED"), std::string::npos);
-  EXPECT_EQ(stack.metrics.requests.load(std::memory_order_relaxed),
-            AccountedRequests(stack.metrics));
+  EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
 }
 
 TEST(DegradedTest, ReloadFailuresFlipDegradedAndRecoverOnPromotion) {
@@ -611,15 +605,13 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
 
   // The accounting invariant: every request that reached Submit ended in
   // exactly one terminal counter.
-  EXPECT_EQ(metrics.requests.load(std::memory_order_relaxed),
-            AccountedRequests(metrics));
-  EXPECT_GE(metrics.requests.load(std::memory_order_relaxed),
-            kClients * kPerClient);
+  EXPECT_EQ(metrics.requests.Value(), AccountedRequests(metrics));
+  EXPECT_GE(metrics.requests.Value(), kClients * kPerClient);
   // The injector actually did something.
   EXPECT_GT(chaos.plans(), 0u);
   EXPECT_GT(chaos.faults(), 0u);
   // And the client layer absorbed the faults by retrying.
-  EXPECT_GT(metrics.client_retries.load(std::memory_order_relaxed), 0);
+  EXPECT_GT(metrics.client_retries.Value(), 0);
   EXPECT_EQ(client_ok.load() + client_err.load(), kClients * kPerClient);
   // Dropped/truncated/reset replies force retries, so most calls succeed.
   EXPECT_GT(client_ok.load(), 0);

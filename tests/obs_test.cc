@@ -37,15 +37,6 @@ TEST(CounterTest, ExactTotalsUnderConcurrency) {
   EXPECT_EQ(counter->Value(), kThreads * kPerThread);
 }
 
-TEST(CounterTest, AtomicShimSurface) {
-  Registry registry;
-  Counter& c = *registry.GetCounter("test.shim");
-  c.fetch_add(3, std::memory_order_relaxed);
-  c.fetch_add(4);
-  EXPECT_EQ(c.load(), 7u);
-  EXPECT_EQ(c.Value(), 7u);
-}
-
 TEST(RegistryTest, SameNameSameMetric) {
   Registry registry;
   EXPECT_EQ(registry.GetCounter("a"), registry.GetCounter("a"));

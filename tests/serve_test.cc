@@ -130,37 +130,38 @@ std::vector<float> ToVector(const Tensor& t) {
 // Metrics
 // ---------------------------------------------------------------------------
 
-TEST(LatencyHistogramTest, PercentilesBracketSamples) {
-  LatencyHistogram hist;
-  for (uint64_t us = 1; us <= 1000; ++us) hist.Record(us);
-  EXPECT_EQ(hist.count(), 1000u);
-  EXPECT_NEAR(hist.MeanMicros(), 500.5, 1e-9);
-  // Power-of-two buckets: each percentile lands within its bucket's range.
-  const double p50 = hist.PercentileMicros(0.50);
-  EXPECT_GE(p50, 256.0);
-  EXPECT_LE(p50, 1024.0);
-  const double p99 = hist.PercentileMicros(0.99);
+// Bucket and percentile arithmetic is obs_test's; these pin the serving
+// layouts and how STATS renders them.
+TEST(MetricsTest, LatencyHistogramCoversTheServingRange) {
+  Metrics metrics;
+  EXPECT_EQ(metrics.latency.num_buckets(), Metrics::kLatencyBuckets);
+  for (uint64_t us = 1; us <= 1000; ++us) metrics.latency.Record(us);
+  const double p99 = metrics.latency.Percentile(0.99);
   EXPECT_GE(p99, 512.0);
   EXPECT_LE(p99, 1024.0);
-  EXPECT_GE(p99, p50);
+  // A sample far past any real latency still lands in the last bucket.
+  metrics.latency.Record(uint64_t{1} << 45);
+  EXPECT_EQ(metrics.latency.BucketCount(Metrics::kLatencyBuckets - 1), 1u);
 }
 
-TEST(BatchSizeHistogramTest, TracksDistribution) {
-  BatchSizeHistogram hist;
-  hist.Record(1);
-  hist.Record(1);
-  hist.Record(8);
-  hist.Record(BatchSizeHistogram::kMaxTracked + 5);
-  EXPECT_EQ(hist.CountForSize(1), 2u);
-  EXPECT_EQ(hist.CountForSize(8), 1u);
-  EXPECT_EQ(hist.overflow(), 1u);
-  EXPECT_EQ(hist.count(), 4u);
+TEST(MetricsTest, BatchSizeHistogramRendersWithOverflow) {
+  Metrics metrics;
+  metrics.batch_size.Record(1);
+  metrics.batch_size.Record(1);
+  metrics.batch_size.Record(8);
+  metrics.batch_size.Record(Metrics::kMaxBatchTracked + 5);
+  EXPECT_EQ(metrics.batch_size.BucketCount(1), 2u);
+  EXPECT_EQ(metrics.batch_size.BucketCount(8), 1u);
+  EXPECT_EQ(metrics.batch_size.Count(), 4u);
+  EXPECT_NE(metrics.DumpText().find("serve.batch_size.hist 1:2 8:1 >:1\n"),
+            std::string::npos)
+      << metrics.DumpText();
 }
 
 TEST(MetricsTest, DumpTextContainsAllSections) {
   Metrics metrics;
-  metrics.requests.fetch_add(3);
-  metrics.responses_ok.fetch_add(3);
+  metrics.requests.Increment(3);
+  metrics.responses_ok.Increment(3);
   metrics.latency.Record(100);
   metrics.batch_size.Record(3);
   const std::string text = metrics.DumpText();
@@ -210,7 +211,7 @@ TEST(ModelRegistryTest, PromotesNewestAndOnlyNewer) {
                          &metrics);
   ASSERT_TRUE(registry.Start().ok());
   EXPECT_EQ(registry.CurrentVersion(), 2);
-  EXPECT_EQ(metrics.reload_success.load(), 1u);
+  EXPECT_EQ(metrics.reload_success.Value(), 1u);
   // Nothing newer: a second poll is a no-op.
   EXPECT_FALSE(registry.PollOnce());
   EXPECT_EQ(registry.CurrentVersion(), 2);
@@ -218,8 +219,8 @@ TEST(ModelRegistryTest, PromotesNewestAndOnlyNewer) {
   TrainAndExport(data, dir, /*epoch=*/3, /*epochs=*/3, 13);
   EXPECT_TRUE(registry.PollOnce());
   EXPECT_EQ(registry.CurrentVersion(), 3);
-  EXPECT_EQ(metrics.reload_success.load(), 2u);
-  EXPECT_EQ(metrics.reload_failure.load(), 0u);
+  EXPECT_EQ(metrics.reload_success.Value(), 2u);
+  EXPECT_EQ(metrics.reload_failure.Value(), 0u);
   registry.Stop();
 }
 
@@ -321,7 +322,7 @@ TEST(ModelRegistryTest, RejectsUniverseSizeMismatchAndSwapsAtomically) {
   EXPECT_FALSE(registry.PollOnce());
   EXPECT_EQ(registry.CurrentVersion(), 1);
   EXPECT_GE(registry.consecutive_reload_failures(), 1);
-  EXPECT_GE(metrics.reload_failure.load(), 1u);
+  EXPECT_GE(metrics.reload_failure.Value(), 1u);
   EXPECT_EQ(ToVector(registry.Current()->Score(f10)), expected_v1)
       << "served scores changed after a rejected promotion";
 
@@ -424,9 +425,9 @@ TEST(InferenceServerTest, CacheCoalescesRepeatQueriesIntoOneForward) {
     ASSERT_TRUE(reply.ok());
     EXPECT_EQ(reply.ValueOrDie().num_stocks, data.num_stocks());
   }
-  EXPECT_EQ(metrics.forwards.load(), 1u);
-  EXPECT_GT(metrics.cache_hits.load(), 0u);
-  EXPECT_EQ(metrics.responses_ok.load(), 20u);
+  EXPECT_EQ(metrics.forwards.Value(), 1u);
+  EXPECT_GT(metrics.cache_hits.Value(), 0u);
+  EXPECT_EQ(metrics.responses_ok.Value(), 20u);
 
   // Ranks are a permutation consistent with the scores.
   auto rank_reply = server.Rank(day);
@@ -463,9 +464,59 @@ TEST(InferenceServerTest, InvalidDayFailsThatQueryOnly) {
   EXPECT_FALSE(server.Score(data.first_day(), -1).ok());
   EXPECT_FALSE(server.Score(data.first_day(), data.num_stocks()).ok());
   EXPECT_TRUE(server.Rank(data.first_day()).ok());
-  EXPECT_EQ(metrics.responses_error.load(), 3u);
+  EXPECT_EQ(metrics.responses_error.Value(), 3u);
   server.Stop();
   registry.Stop();
+}
+
+// The score cache is keyed by the (version, day) pair itself: no other
+// pair may alias a cached entry. A day past the panel must miss the cache
+// on the fast path and get the blocking path's range error.
+TEST(InferenceServerTest, OutOfRangeDayNeverHitsAnotherDaysCacheEntry) {
+  market::WindowDataset data = MakePanel();
+  const std::string dir = TestDir("cache_alias");
+  TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/1, 43);
+
+  Metrics metrics;
+  ModelRegistry registry({dir, /*reload_interval_ms=*/0}, MakeFactory(),
+                         &metrics);
+  ASSERT_TRUE(registry.Start().ok());
+  ASSERT_EQ(registry.CurrentVersion(), 1);
+  InferenceServer server(&data, &registry, {}, &metrics);
+  ASSERT_TRUE(server.Start().ok());
+
+  const int64_t day = data.first_day();
+  ASSERT_TRUE(server.Rank(day).ok());
+  RankReply cached;
+  ASSERT_TRUE(server.TryRankCached(day, &cached));
+
+  // 2^20 + day is the day a (version << 20) | day key folds onto `day`
+  // under version 1; last_day + 1 is a plain out-of-range day.
+  for (const int64_t far_day : {(int64_t{1} << 20) + day,
+                                data.last_day() + 1}) {
+    RankReply rank;
+    ScoreReply score;
+    EXPECT_FALSE(server.TryRankCached(far_day, &rank)) << far_day;
+    EXPECT_FALSE(server.TryScoreCached(far_day, 3, &score)) << far_day;
+
+    const std::string want = "ERR Invalid argument: day " +
+                             std::to_string(far_day) +
+                             " outside the valid range [" +
+                             std::to_string(data.first_day()) + ", " +
+                             std::to_string(data.last_day()) + "]";
+    for (const std::string verb : {"RANK ", "SCORE "}) {
+      const std::string line = verb + std::to_string(far_day) + " 3";
+      std::string reply;
+      EXPECT_FALSE(TryExecuteLineFast(&server, &metrics, line, &reply))
+          << line << " answered from cache: " << reply;
+      EXPECT_EQ(ExecuteLine(&server, &metrics, line), want) << line;
+    }
+  }
+  server.Stop();
+  registry.Stop();
+  EXPECT_EQ(metrics.requests.Value(),
+            metrics.responses_ok.Value() + metrics.responses_error.Value() +
+                metrics.expired.Value() + metrics.shed.Value());
 }
 
 // ---------------------------------------------------------------------------
@@ -573,8 +624,8 @@ TEST(HotReloadTest, LosslessUnderConcurrentLoad) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(version_mismatches.load(), 0);
   EXPECT_GT(answered.load(), 0);
-  EXPECT_GE(metrics.reload_success.load(), static_cast<uint64_t>(kSwaps));
-  EXPECT_EQ(metrics.reload_failure.load(), 0u);
+  EXPECT_GE(metrics.reload_success.Value(), static_cast<uint64_t>(kSwaps));
+  EXPECT_EQ(metrics.reload_failure.Value(), 0u);
   EXPECT_EQ(registry.CurrentVersion(), 1 + kSwaps);
 }
 
@@ -764,7 +815,7 @@ TEST(SocketServerAbuseTest, OversizedLineIsRejectedAndDisconnected) {
   EXPECT_EQ(client.RoundTrip(huge), "ERR line too long");
   EXPECT_EQ(client.ReadLine(), "");  // server closed the connection
   EXPECT_GE(
-      stack.metrics.oversized_lines.load(std::memory_order_relaxed), 1);
+      stack.metrics.oversized_lines.Value(), 1);
 
   // A fresh connection still works: the abuse cost one connection, not
   // the server.
@@ -790,7 +841,7 @@ TEST(SocketServerAbuseTest, ConnectionCapAnswersBusyAndReapsSlots) {
   ASSERT_TRUE(c.connected());
   EXPECT_EQ(c.ReadLine(), "BUSY too many connections");
   EXPECT_EQ(c.ReadLine(), "");
-  EXPECT_GE(stack.metrics.busy_rejected.load(std::memory_order_relaxed), 1);
+  EXPECT_GE(stack.metrics.busy_rejected.Value(), 1);
 
   // Releasing a connection frees its slot (gate + reaped thread), so a
   // new client gets in.
