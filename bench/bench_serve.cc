@@ -20,7 +20,7 @@
 // of a ranking dashboard where everyone asks about "today".
 //
 // --mode overload (ISSUE 8 acceptance bench, BENCH_serve_robust.json):
-// drives the full socket stack (SocketServer + serve::Client) with paced
+// drives the full socket stack (AsyncServer + serve::Client) with paced
 // open-loop load. First a closed-loop calibration measures the server's
 // capacity, then each --multipliers entry offers that multiple of
 // capacity with per-request deadlines and no client retries, recording
@@ -37,22 +37,26 @@
 //                 [--chaos 0] [--chaos_seed 1234] [--json out.json]
 //
 // --mode front (BENCH_serve.json): replays the cached hot path at
-// --connections concurrent epoll-multiplexed clients through both socket
-// front ends over one InferenceServer — the thread-per-connection
-// SocketServer, then the epoll AsyncServer — and reports the QPS/latency
-// of each plus the speedup. A third phase re-runs the epoll stack paced at
-// --latency_fraction of its measured capacity: saturated closed-loop
-// percentiles are queueing delay by Little's law, so the paced phase is
-// where service latency (the p99 bar) is read. A final uncached overload
-// burst (small queue, DEADLINE on every line, 2x connections) re-checks
-// the serving accounting invariant through the epoll stack; a violation
-// fails the bench.
+// --connections concurrent epoll-multiplexed clients through the socket
+// front end (AsyncServer over one InferenceServer) and reports its
+// saturated QPS/latency, after one discarded warm-up phase. A paced phase
+// re-runs the stack at --latency_fraction of that capacity: saturated
+// closed-loop percentiles are queueing delay by Little's law, so the
+// paced phase is where service latency (the p99 bar) is read. A final
+// uncached overload burst (small queue, DEADLINE on every line, 2x
+// connections) re-checks accounting at depth. Every phase reports two
+// invariants side by side — client side, sent == ok + busy + draining +
+// deadline + errors + abandoned (the replay's own bookkeeping), and server
+// side, requests == ok + error + expired + shed (the server's counters) —
+// and either one failing fails the bench. They count different things: a
+// request abandoned by the client when the window closes is still a
+// request the server answered.
 //
 //   ./bench_serve --mode front [--connections 1000] [--front_seconds 2]
 //                 [--executor_threads 16] [--json BENCH_serve.json]
 //
 // Every server knob is a serve::ServerConfig flag (one shared surface —
-// see serve/config.h): --front, --max_batch, --cache, --max_queue,
+// see serve/config.h): --max_batch, --cache, --max_queue,
 // --admission, ...
 #include <algorithm>
 #include <atomic>
@@ -79,7 +83,6 @@
 #include "serve/registry.h"
 #include "serve/replay.h"
 #include "serve/server.h"
-#include "serve/socket_server.h"
 
 namespace {
 
@@ -301,11 +304,11 @@ int main(int argc, char** argv) {
 
   FlagSet fs("Serving load generator: batched-vs-unbatched QPS (--mode "
              "batch), overload robustness through the socket stack "
-             "(--mode overload) or epoll vs threaded front end (--mode "
+             "(--mode overload) or front-end capacity and latency (--mode "
              "front).");
   fs.RegisterChoice("mode", &mode, {"batch", "overload", "front"},
                     "batch comparison, overload/chaos robustness, or "
-                    "epoll vs threaded front end");
+                    "front-end capacity and latency");
   fs.Register("clients", &clients, "closed-loop client threads");
   fs.Register("requests", &requests, "blocking Score() calls per client");
   fs.Register("phase", &phase,
@@ -331,7 +334,7 @@ int main(int argc, char** argv) {
               "front: seconds per measured phase");
   fs.Register("latency_fraction", &latency_fraction,
               "front: paced-phase offered load as a fraction of measured "
-              "epoll capacity");
+              "capacity");
   fs.Register("json", &json, "write the results as JSON to this path");
   scfg.RegisterFlags(&fs);
   const Status flag_status = fs.Parse(argc, argv);
@@ -385,7 +388,7 @@ int main(int argc, char** argv) {
       copts.delay_ms_max = 5;
     }
     serve::ChaosInjector injector(copts);
-    serve::SocketServer front(&server, &metrics, {/*port=*/0});
+    serve::AsyncServer front(&server, &metrics, scfg.async_options());
     if (chaos) front.SetChaos(&injector);
     front.Start().Abort();
 
@@ -492,10 +495,8 @@ int main(int argc, char** argv) {
   }
 
   if (mode == "front") {
-    // Headline comparison: the cached hot path at identical concurrency
-    // through (a) the thread-per-connection SocketServer and (b) the epoll
-    // AsyncServer, both over one InferenceServer. The cache must be on for
-    // this measurement.
+    // Headline measurement: the cached hot path through the epoll front
+    // end over one InferenceServer. The cache must be on for it.
     scfg.enable_cache = true;
 
     // Replay script: cached SCORE lookups with an occasional RANK, spread
@@ -515,9 +516,10 @@ int main(int argc, char** argv) {
     struct Phase {
       serve::Replay::Report report;
       uint64_t requests = 0, ok = 0, err = 0, expired = 0, shed = 0;
-      bool accounted = false;
+      bool accounted = false;  ///< server side: requests == ok+err+exp+shed
+      bool client_accounted() const { return report.Accounted(); }
     };
-    auto run_phase = [&](bool epoll, int64_t conns, double seconds,
+    auto run_phase = [&](int64_t conns, double seconds,
                          const std::vector<std::string>& lines,
                          const serve::ServerConfig& cfg,
                          double target_qps = 0) -> Phase {
@@ -535,22 +537,10 @@ int main(int argc, char** argv) {
         // cache-hit path, not first-touch forwards.
         for (const int64_t day : days) server.Rank(day).status().Abort();
       }
-      std::unique_ptr<serve::AsyncServer> aserver;
-      std::unique_ptr<serve::SocketServer> tserver;
-      int port = 0;
-      if (epoll) {
-        aserver = std::make_unique<serve::AsyncServer>(&server, &metrics,
-                                                       cfg.async_options());
-        aserver->Start().Abort();
-        port = aserver->port();
-      } else {
-        tserver = std::make_unique<serve::SocketServer>(&server, &metrics,
-                                                        cfg.socket_options());
-        tserver->Start().Abort();
-        port = tserver->port();
-      }
+      serve::AsyncServer front(&server, &metrics, cfg.async_options());
+      front.Start().Abort();
       serve::Replay::Options ropts;
-      ropts.port = port;
+      ropts.port = front.port();
       ropts.connections = conns;
       ropts.seconds = seconds;
       ropts.proto = 2;
@@ -558,8 +548,7 @@ int main(int argc, char** argv) {
       serve::Replay replay(ropts, lines);
       Phase phase;
       phase.report = replay.Run().MoveValueOrDie();
-      if (aserver) aserver->Stop();
-      if (tserver) tserver->Stop();
+      front.Stop();
       server.Stop();
       registry.Stop();
       phase.requests = metrics.requests.Value();
@@ -573,9 +562,11 @@ int main(int argc, char** argv) {
     };
     auto print_phase = [](const char* label, const Phase& p) {
       std::printf("  %-22s %9.0f qps  p50 %6.0fus  p99 %7.0fus  ok %8" PRIu64
-                  "  busy %6" PRIu64 "  err %4" PRIu64 "  server acct %s\n",
+                  "  busy %6" PRIu64 "  err %4" PRIu64 "  client acct %s"
+                  "  server acct %s\n",
                   label, p.report.qps, p.report.p50_us, p.report.p99_us,
                   p.report.ok, p.report.busy, p.report.errors,
+                  p.client_accounted() ? "OK" : "VIOLATED",
                   p.accounted ? "OK" : "VIOLATED");
     };
 
@@ -585,33 +576,29 @@ int main(int argc, char** argv) {
                 static_cast<long long>(connections), front_seconds,
                 static_cast<long long>(dataset.num_stocks()), days.size(),
                 static_cast<long long>(scfg.executor_threads), nproc);
-    const Phase threaded = run_phase(/*epoll=*/false, connections,
-                                     front_seconds, script, scfg);
-    print_phase("threaded", threaded);
-    const Phase epoll = run_phase(/*epoll=*/true, connections, front_seconds,
-                                  script, scfg);
+    // One discarded phase first: the first phase after training runs
+    // measurably slower on a fresh process (allocator, socket buffers), so
+    // the measured phase starts warm.
+    run_phase(connections, front_seconds, script, scfg);
+    const Phase epoll = run_phase(connections, front_seconds, script, scfg);
     print_phase("epoll", epoll);
-    const double speedup =
-        epoll.report.qps / std::max(threaded.report.qps, 1.0);
-    std::printf("speedup (epoll / threaded): %.2fx\n", speedup);
 
     // Latency with headroom: the saturated closed-loop percentiles above
     // are queueing delay (Little's law: conns / qps), not service time.
-    // Re-run the epoll stack paced at a fraction of its measured capacity
-    // — the regime a provisioned deployment runs in — for the p99 bar.
+    // Re-run the stack paced at a fraction of its measured capacity — the
+    // regime a provisioned deployment runs in — for the p99 bar.
     const double latency_target = latency_fraction * epoll.report.qps;
-    const Phase latency = run_phase(/*epoll=*/true, connections, front_seconds,
-                                    script, scfg, latency_target);
+    const Phase latency =
+        run_phase(connections, front_seconds, script, scfg, latency_target);
     char latency_label[48];
     std::snprintf(latency_label, sizeof(latency_label), "epoll paced %.2fx",
                   latency_fraction);
     print_phase(latency_label, latency);
 
     // Accounting at heavy overload: uncached blocking RANKs with deadlines
-    // and a small queue through the epoll stack. The closed-loop
-    // connection count drives offered load far past the uncached forward
-    // capacity, so sheds and expiries dominate — and every one of them
-    // must be accounted.
+    // and a small queue. The closed-loop connection count drives offered
+    // load far past the uncached forward capacity, so sheds and expiries
+    // dominate — and every one of them must be accounted.
     serve::ServerConfig burst_cfg = scfg;
     burst_cfg.enable_cache = false;
     burst_cfg.max_queue = 64;
@@ -621,17 +608,26 @@ int main(int argc, char** argv) {
                              std::to_string(deadline_ms));
     }
     const int64_t burst_conns = std::min<int64_t>(2 * connections, 4000);
-    const Phase burst = run_phase(/*epoll=*/true, burst_conns, front_seconds,
-                                  burst_script, burst_cfg);
+    const Phase burst =
+        run_phase(burst_conns, front_seconds, burst_script, burst_cfg);
     print_phase("overload burst", burst);
-    std::printf("accounting under overload: requests %" PRIu64 " == ok %"
-                PRIu64 " + err %" PRIu64 " + expired %" PRIu64 " + shed %"
-                PRIu64 " (%s)\n",
-                burst.requests, burst.ok, burst.err, burst.expired,
-                burst.shed, burst.accounted ? "OK" : "VIOLATED");
+    std::printf("accounting under overload: client sent %" PRIu64 " == ok %"
+                PRIu64 " + busy %" PRIu64 " + draining %" PRIu64
+                " + deadline %" PRIu64 " + errors %" PRIu64
+                " + abandoned %" PRIu64 " (%s); server requests %" PRIu64
+                " == ok %" PRIu64 " + err %" PRIu64 " + expired %" PRIu64
+                " + shed %" PRIu64 " (%s)\n",
+                burst.report.sent, burst.report.ok, burst.report.busy,
+                burst.report.draining, burst.report.deadline,
+                burst.report.errors, burst.report.abandoned,
+                burst.client_accounted() ? "OK" : "VIOLATED", burst.requests,
+                burst.ok, burst.err, burst.expired, burst.shed,
+                burst.accounted ? "OK" : "VIOLATED");
 
-    const bool pass = threaded.accounted && epoll.accounted &&
-                      latency.accounted && burst.accounted;
+    bool pass = true;
+    for (const Phase* p : {&epoll, &latency, &burst}) {
+      pass = pass && p->accounted && p->client_accounted();
+    }
     if (!json.empty()) {
       std::ofstream out(json);
       auto phase_json = [](std::ostream& o, const Phase& p) {
@@ -640,6 +636,10 @@ int main(int argc, char** argv) {
           << ", \"p99_us\": " << p.report.p99_us << ", \"ok\": " << p.report.ok
           << ", \"busy\": " << p.report.busy
           << ", \"errors\": " << p.report.errors
+          << ", \"sent\": " << p.report.sent
+          << ", \"abandoned\": " << p.report.abandoned
+          << ", \"client_accounting_holds\": "
+          << (p.client_accounted() ? "true" : "false")
           << ", \"requests\": " << p.requests
           << ", \"expired\": " << p.expired << ", \"shed\": " << p.shed
           << ", \"accounting_holds\": " << (p.accounted ? "true" : "false")
@@ -654,12 +654,9 @@ int main(int argc, char** argv) {
           << ", \"train_epochs\": " << train_epochs
           << ", \"max_queue\": " << scfg.max_queue
           << ", \"burst_connections\": " << burst_conns << "},\n";
-      out << "  \"threaded\": ";
-      phase_json(out, threaded);
-      out << ",\n  \"epoll\": ";
+      out << "  \"epoll\": ";
       phase_json(out, epoll);
-      out << ",\n  \"speedup\": " << speedup << ",\n";
-      out << "  \"latency_target_qps\": " << latency_target << ",\n";
+      out << ",\n  \"latency_target_qps\": " << latency_target << ",\n";
       out << "  \"latency\": ";
       phase_json(out, latency);
       out << ",\n";

@@ -7,7 +7,6 @@
 // default as in bench_serve and the chaos harness:
 //
 //   ./serve_server [--port 7070] [--checkpoint_dir /tmp/rtgcn_serve_demo]
-//                  [--front epoll|threaded]
 //                  [--max_batch 32] [--batch_timeout_us 200]
 //                  [--reload_interval_ms 1000] [--cache 1]
 //                  [--stocks 60] [--window 15] [--train_epochs 4]
@@ -15,11 +14,10 @@
 //                  [--max_queue 1024] [--admission reject|block]
 //                  [--max_connections 10000] [--max_line_bytes 65536]
 //
-// --front picks the epoll event loop (default) or the
-// thread-per-connection SocketServer. While it runs, retrain in another
-// terminal and export into the same --checkpoint_dir (see README
-// "Serving"): the registry promotes the new version without dropping a
-// query. --serve_seconds 0 serves forever.
+// The socket front end is the epoll event loop (serve::AsyncServer). While
+// it runs, retrain in another terminal and export into the same
+// --checkpoint_dir (see README "Serving"): the registry promotes the new
+// version without dropping a query. --serve_seconds 0 serves forever.
 #include <unistd.h>
 
 #include <cstdio>
@@ -35,7 +33,6 @@
 #include "serve/config.h"
 #include "serve/registry.h"
 #include "serve/server.h"
-#include "serve/socket_server.h"
 
 int main(int argc, char** argv) {
   using namespace rtgcn;
@@ -118,23 +115,11 @@ int main(int argc, char** argv) {
                                 &metrics);
   server.Start().Abort();
 
-  std::unique_ptr<serve::AsyncServer> epoll_front;
-  std::unique_ptr<serve::SocketServer> threaded_front;
-  int port = 0;
-  if (scfg.use_epoll()) {
-    epoll_front = std::make_unique<serve::AsyncServer>(&server, &metrics,
-                                                       scfg.async_options());
-    epoll_front->Start().Abort();
-    port = epoll_front->port();
-  } else {
-    threaded_front = std::make_unique<serve::SocketServer>(
-        &server, &metrics, scfg.socket_options());
-    threaded_front->Start().Abort();
-    port = threaded_front->port();
-  }
-  std::printf("serving %s on 127.0.0.1:%d  (%s front, version %lld, days "
+  serve::AsyncServer front(&server, &metrics, scfg.async_options());
+  front.Start().Abort();
+  std::printf("serving %s on 127.0.0.1:%d  (version %lld, days "
               "%lld..%lld, %lld stocks)\n",
-              spec.name.c_str(), port, scfg.front.c_str(),
+              spec.name.c_str(), front.port(),
               static_cast<long long>(registry.CurrentVersion()),
               static_cast<long long>(dataset.first_day()),
               static_cast<long long>(dataset.last_day()),
@@ -148,8 +133,7 @@ int main(int argc, char** argv) {
       std::printf("---\n%s", metrics.DumpText().c_str());
     }
   }
-  if (epoll_front) epoll_front->Stop();
-  if (threaded_front) threaded_front->Stop();
+  front.Stop();
   server.Stop();
   registry.Stop();
   std::printf("final stats:\n%s", metrics.DumpText().c_str());

@@ -255,31 +255,43 @@ void AsyncServer::HandleReadable(uint64_t id) {
     }
     conn.inbuf.append(chunk, static_cast<size_t>(n));
     if (static_cast<ssize_t>(sizeof(chunk)) != n) break;
+    // Past the cap the buffer holds at least one whole line or an
+    // oversized one; split before reading more, so an oversized line
+    // costs at most the cap plus one chunk of memory.
+    if (static_cast<int64_t>(conn.inbuf.size()) > options_.max_line_bytes) {
+      break;
+    }
   }
   IngestInput(id);
 }
 
 void AsyncServer::IngestInput(uint64_t id) {
   Conn& conn = conns_[id];
+  const auto too_long = [this](size_t bytes) {
+    return static_cast<int64_t>(bytes) > options_.max_line_bytes;
+  };
+  bool oversized = false;
   size_t pos;
-  while (!conn.closing &&
+  while (!conn.closing && !conn.line_too_long &&
          (pos = conn.inbuf.find('\n')) != std::string::npos) {
+    if (too_long(pos)) {
+      oversized = true;
+      break;
+    }
     std::string line = conn.inbuf.substr(0, pos);
     conn.inbuf.erase(0, pos + 1);
     if (!line.empty() && line.back() == '\r') line.pop_back();
     conn.lines.push_back(std::move(line));
   }
-  // Bounded read buffer: a line exceeding the cap without a terminator is
-  // not protocol — reject and drop, as the thread front end does.
-  if (!conn.closing &&
-      static_cast<int64_t>(conn.inbuf.size()) > options_.max_line_bytes) {
+  // A line over the cap, terminated or not, is not protocol: the lines
+  // before it are answered, then PumpConn rejects it and drops the sender.
+  if (!conn.closing && !conn.line_too_long &&
+      (oversized || too_long(conn.inbuf.size()))) {
     if (metrics_) {
       metrics_->oversized_lines.Increment();
     }
-    conn.outbuf += "ERR line too long\n";
-    conn.closing = true;
+    conn.line_too_long = true;
     conn.inbuf.clear();
-    conn.lines.clear();
   }
   PumpConn(id);
 }
@@ -292,7 +304,14 @@ void AsyncServer::PumpConn(uint64_t id) {
     auto it = conns_.find(id);
     if (it == conns_.end()) return;
     Conn& conn = it->second;
-    if (conn.executing || conn.closing || conn.lines.empty()) break;
+    if (conn.executing || conn.closing) break;
+    if (conn.lines.empty()) {
+      if (conn.line_too_long) {
+        conn.outbuf += "ERR line too long\n";
+        conn.closing = true;
+      }
+      break;
+    }
     std::string line = std::move(conn.lines.front());
     conn.lines.pop_front();
     std::string fast;
@@ -420,7 +439,7 @@ void AsyncServer::UpdateEvents(uint64_t id) {
       static_cast<int64_t>(conn.lines.size()) >=
           options_.max_pending_lines ||
       static_cast<int64_t>(conn.outbuf.size()) >= options_.max_outbox_bytes;
-  const bool pause_read = conn.closing || overfull;
+  const bool pause_read = conn.closing || conn.line_too_long || overfull;
   if (want_write == conn.want_write && pause_read == conn.paused_read) {
     return;
   }

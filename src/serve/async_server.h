@@ -1,11 +1,10 @@
-// Epoll event-loop front end for a serve::Backend (DESIGN.md §15).
+// Epoll event-loop front end for a serve::Backend (DESIGN.md §15) — the
+// one socket front end of the serving tier.
 //
 // One IO thread multiplexes every connection through a level-triggered
 // epoll set — non-blocking accept/read/write with a per-connection state
-// machine — replacing the thread-per-connection SocketServer for high
-// connection counts. The wire grammar is identical (serve/protocol.h):
-// both front ends execute lines through the same ExecuteLine, so a client
-// cannot tell them apart.
+// machine. The wire grammar lives in serve/protocol.h; every line is
+// executed through ExecuteLine / TryExecuteLineFast.
 //
 // Request flow per connection, strictly in arrival order:
 //  * a complete line whose answer is already cached (TryExecuteLineFast:
@@ -17,12 +16,16 @@
 //    executor pool; the connection dispatches at most one blocking line at
 //    a time, so replies always come back in request order.
 //
-// Overload safety mirrors SocketServer: a connection cap (excess accepts
-// answer BUSY and close), a request-line byte cap (oversized senders get
-// "ERR line too long" and are dropped), bounded per-connection input and
-// output buffers — a connection pushing lines faster than the backend
-// drains them, or not reading its replies, loses EPOLLIN until it drains
-// (TCP backpressure does the rest) — and MSG_NOSIGNAL everywhere.
+// Overload safety: a connection cap (excess accepts answer BUSY and
+// close); a request-line byte cap checked on every line, terminated or
+// not (the lines before an oversized one are answered, then the sender
+// gets "ERR line too long" and is dropped, and the read buffer never
+// holds more than the cap plus one read chunk); bounded per-connection
+// input and output buffers — a connection pushing lines faster than the
+// backend drains them, or not reading its replies, loses EPOLLIN until it
+// drains (TCP backpressure does the rest, so a slow reader costs its own
+// buffers, never a thread) — and MSG_NOSIGNAL everywhere, so a peer
+// closing mid-reply is EPIPE on that connection, never a SIGPIPE.
 //
 // Threading: epoll_ctl, reads, writes and connection teardown happen only
 // on the IO thread. Executors touch a completion queue (mutex) and an
@@ -30,6 +33,9 @@
 // a reply is appended; a kDelay fault stalls the whole loop for its
 // duration — acceptable for the test-only injector, never enabled in
 // production paths.
+//
+// Scores are printed with %.9g, which round-trips binary float32 exactly —
+// a client can compare replies bit-for-bit against a local forward pass.
 #ifndef RTGCN_SERVE_ASYNC_SERVER_H_
 #define RTGCN_SERVE_ASYNC_SERVER_H_
 
@@ -99,6 +105,9 @@ class AsyncServer {
     std::deque<std::string> lines;  ///< complete lines awaiting dispatch
     bool executing = false;  ///< a blocking line is out at the executors
     bool closing = false;    ///< flush outbuf, then close (QUIT/abuse)
+    /// A line over max_line_bytes arrived: stop reading, answer the lines
+    /// before it, then reply "ERR line too long" and close.
+    bool line_too_long = false;
     bool reset_on_close = false;  ///< chaos kReset: RST instead of FIN
     bool want_write = false;      ///< EPOLLOUT currently armed
     bool paused_read = false;     ///< EPOLLIN dropped for backpressure
@@ -114,8 +123,8 @@ class AsyncServer {
   void HandleAccept();
   void HandleReadable(uint64_t id);
   void HandleWritable(uint64_t id);
-  /// Splits inbuf into lines, enforces the line cap, advances the state
-  /// machine.
+  /// Splits inbuf into lines, enforces the line cap on every line
+  /// (terminated or not), advances the state machine.
   void IngestInput(uint64_t id);
   /// Answers or dispatches queued lines until one blocks or none remain.
   void PumpConn(uint64_t id);

@@ -1,10 +1,10 @@
 // Versioned typed wire protocol for the serving tier (DESIGN.md §15).
 //
 // This header is the single source of truth for the request/reply surface:
-// both front ends (thread-per-connection SocketServer and the epoll
-// AsyncServer) parse with ParseRequest and format with FormatReply, and
-// serve::Client formats with FormatRequest and parses with ParseReply —
-// there is exactly one grammar implementation on each side of the wire.
+// the epoll front end (AsyncServer) parses with ParseRequest and formats
+// with FormatReply, and serve::Client formats with FormatRequest and
+// parses with ParseReply — there is exactly one grammar implementation on
+// each side of the wire.
 //
 // Protocol v1 (the PR 4/8 line protocol) is kept byte-compatible as a
 // compatibility shim; see DESIGN.md §15 for its deprecation note:
@@ -31,7 +31,7 @@
 //
 // The id is chosen by the client and echoed verbatim, so a client may
 // write many v2 requests in one send and match replies without relying on
-// ordering (both front ends do reply in request order per connection).
+// ordering (the front end does reply in request order per connection).
 //
 // Scores are printed with %.9g, which round-trips binary float32 exactly —
 // replies compare bit-for-bit against a local forward pass.

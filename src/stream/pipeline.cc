@@ -162,6 +162,13 @@ Status RollingPipeline::MaybeRetrain(int64_t day) {
     latest_arch_ = std::move(arch);
   }
 
+  {
+    // Recorded before the poll publishes the version: a concurrent Rank()
+    // that sees the new snapshot must find its training universe.
+    std::lock_guard<std::mutex> lock(mu_);
+    versions_[version] = VersionInfo{std::move(slots), trained_universe};
+  }
+
   auto& reg = obs::Registry::Global();
   const uint64_t reload_start = obs::NowMicros();
   const bool promoted = registry_.PollOnce();
@@ -173,7 +180,6 @@ Status RollingPipeline::MaybeRetrain(int64_t day) {
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    versions_[version] = VersionInfo{std::move(slots), trained_universe};
     last_retrain_day_ = day;
     retrains_ = version - version_base_;
     last_retrain_seconds_ = fit_seconds;

@@ -9,30 +9,28 @@
 //  * Stop() drains queued work and answers later requests with "draining";
 //  * DEGRADED health (unpublished model, repeated reload failures) serves
 //    cached scores flagged STALE instead of erroring;
-//  * the end-to-end chaos scenario: concurrent retrying clients, a fault
-//    injector corrupting replies, hostile raw clients, and a corrupt
-//    checkpoint published mid-reload — the server must not crash or hang,
-//    and every request must be accounted for:
+//  * Stop() over the wire: the epoll front end answers DRAINING;
+//  * the end-to-end chaos scenario through the epoll front end, wired from
+//    one ServerConfig: concurrent retrying clients (half on protocol v2),
+//    a fault injector corrupting replies, six kinds of hostile raw client
+//    (v1 and v2 framing abuse), and a corrupt checkpoint published
+//    mid-reload — the server must not crash or hang, the clients must
+//    retry through the faults, and every request must be accounted for:
 //      requests == responses_ok + responses_error + expired + shed.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "autograd/ops.h"
-#include "common/file_util.h"
 #include "harness/checkpoint.h"
-#include "harness/gradient_predictor.h"
 #include "market/dataset.h"
-#include "nn/linear.h"
 #include "serve/admission.h"
+#include "serve/async_server.h"
 #include "serve/chaos.h"
 #include "serve/client.h"
 #include "serve/config.h"
@@ -40,97 +38,18 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
-#include "serve/socket_server.h"
+#include "serve_test_util.h"
 
 namespace rtgcn::serve {
 namespace {
 
 using std::chrono::steady_clock;
 
-// ---------------------------------------------------------------------------
-// Fixture: the same tiny linear ranker serve_test.cc uses.
-// ---------------------------------------------------------------------------
-
-class LinearRanker : public harness::GradientPredictor {
- public:
-  explicit LinearRanker(int64_t num_features, uint64_t seed = 1)
-      : rng_(seed), linear_(num_features, 1, &rng_) {}
-
-  std::string name() const override { return "LinearRanker"; }
-
- protected:
-  nn::Module* module() override { return &linear_; }
-  ag::VarPtr Forward(const Tensor& features, Rng*) override {
-    const int64_t t_len = features.dim(0);
-    const int64_t n = features.dim(1);
-    const int64_t d = features.dim(2);
-    auto x = ag::Constant(features);
-    auto last = ag::Reshape(ag::SliceOp(x, 0, t_len - 1, t_len), {n, d});
-    return ag::Reshape(linear_.Forward(last), {n});
-  }
-  float alpha() const override { return 0.0f; }
-
- private:
-  Rng rng_;
-  nn::Linear linear_;
-};
-
-market::WindowDataset MakePanel(int64_t days = 90, int64_t n = 10) {
-  Rng rng(17);
-  Tensor prices({days, n});
-  for (int64_t i = 0; i < n; ++i) prices.at({0, i}) = 50.0f + 2.0f * i;
-  for (int64_t t = 1; t < days; ++t) {
-    for (int64_t i = 0; i < n; ++i) {
-      const float drift = 0.002f * static_cast<float>((i % 5) - 2);
-      const float noise = static_cast<float>(rng.Gaussian(0, 0.001));
-      prices.at({t, i}) = prices.at({t - 1, i}) * (1.0f + drift + noise);
-    }
-  }
-  return market::WindowDataset(prices, /*window=*/5, /*num_features=*/2);
-}
-
-ServableFactory MakeFactory() {
-  return [] { return WrapPredictor(std::make_unique<LinearRanker>(2)); };
-}
-
-std::unique_ptr<LinearRanker> TrainAndExport(
-    const market::WindowDataset& data, const std::string& dir, int64_t epoch,
-    uint64_t seed) {
-  auto model = std::make_unique<LinearRanker>(2, seed);
-  harness::TrainOptions opts;
-  opts.epochs = 1;
-  opts.learning_rate = 1e-2f;
-  opts.seed = seed;
-  model->Fit(data, data.Days(data.first_day(), 60), opts);
-  harness::CheckpointManager manager({dir, 1, 0});
-  EXPECT_TRUE(manager.Init().ok());
-  EXPECT_TRUE(model->ExportSnapshot(manager.CheckpointPath(epoch)).ok());
-  return model;
-}
-
 void WriteCorruptCheckpoint(const std::string& dir, int64_t epoch) {
   harness::CheckpointManager manager({dir, 1, 0});
   ASSERT_TRUE(manager.Init().ok());
   std::ofstream out(manager.CheckpointPath(epoch), std::ios::binary);
   out << "this is not a checkpoint";
-}
-
-std::string TestDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "chaos_" + name + "_" +
-                          std::to_string(::getpid());
-  auto entries = ListDirectory(dir);
-  if (entries.ok()) {
-    for (const std::string& e : entries.ValueOrDie()) {
-      std::remove((dir + "/" + e).c_str());
-    }
-  }
-  ::rmdir(dir.c_str());
-  return dir;
-}
-
-int64_t AccountedRequests(const Metrics& m) {
-  return m.responses_ok.Value() + m.responses_error.Value() +
-         m.expired.Value() + m.shed.Value();
 }
 
 // ---------------------------------------------------------------------------
@@ -277,7 +196,7 @@ struct Stack {
   Stack(const std::string& name, InferenceServer::Options sopts,
         int64_t reload_interval_ms = 0) {
     dir = TestDir(name);
-    TrainAndExport(data, dir, /*epoch=*/1, /*seed=*/61);
+    TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/1, /*seed=*/61);
     registry = std::make_unique<ModelRegistry>(
         ModelRegistry::Options{dir, reload_interval_ms}, MakeFactory(),
         &metrics);
@@ -450,7 +369,8 @@ TEST(DegradedTest, ReloadFailuresFlipDegradedAndRecoverOnPromotion) {
   EXPECT_TRUE(degraded.ValueOrDie().stale);
 
   // A loadable checkpoint recovers the registry and the health state.
-  TrainAndExport(stack.data, stack.dir, /*epoch=*/3, /*seed=*/62);
+  TrainAndExport(stack.data, stack.dir, /*epoch=*/3, /*epochs=*/1,
+                 /*seed=*/62);
   EXPECT_TRUE(stack.registry->PollOnce());
   EXPECT_EQ(stack.registry->consecutive_reload_failures(), 0);
   EXPECT_EQ(stack.server->Health(), HealthState::kServing);
@@ -466,7 +386,7 @@ TEST(DegradedTest, ReloadFailuresFlipDegradedAndRecoverOnPromotion) {
 
 TEST(DrainWireTest, StoppedServerAnswersDraining) {
   Stack stack("drainwire", {});
-  SocketServer front(stack.server.get(), &stack.metrics, {/*port=*/0});
+  AsyncServer front(stack.server.get(), &stack.metrics, {/*port=*/0});
   ASSERT_TRUE(front.Start().ok());
 
   stack.server->Stop();
@@ -489,7 +409,8 @@ TEST(DrainWireTest, StoppedServerAnswersDraining) {
 TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
   market::WindowDataset data = MakePanel();
   const std::string dir = TestDir("scenario");
-  auto model = TrainAndExport(data, dir, /*epoch=*/1, /*seed=*/61);
+  auto model = TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/1,
+                              /*seed=*/61);
 
   Metrics metrics;
   ModelRegistry registry({dir, /*reload_interval_ms=*/5}, MakeFactory(),
@@ -501,6 +422,7 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
   ServerConfig cfg;
   cfg.max_queue = 64;
   cfg.max_line_bytes = 4096;
+  cfg.executor_threads = 4;
   ASSERT_TRUE(cfg.Validate().ok());
   InferenceServer server(&data, &registry, cfg.server_options(), &metrics);
   ASSERT_TRUE(server.Start().ok());
@@ -514,11 +436,12 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
   copts.delay_ms_max = 5;
   ChaosInjector chaos(copts);
 
-  SocketServer front(&server, &metrics, cfg.socket_options());
+  AsyncServer front(&server, &metrics, cfg.async_options());
   front.SetChaos(&chaos);
   ASSERT_TRUE(front.Start().ok());
 
-  // Load: retrying clients issuing SCORE/RANK, some with deadlines.
+  // Load: retrying clients issuing SCORE/RANK, some with deadlines, half
+  // of the fleet on protocol v2.
   constexpr int kClients = 4;
   constexpr int kPerClient = 30;
   std::atomic<int> client_ok{0}, client_err{0};
@@ -533,6 +456,7 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
       copts2.backoff_max_ms = 20;
       copts2.seed = 100 + static_cast<uint64_t>(c);
       Client client(copts2, &metrics);
+      if (c % 2 == 0) (void)client.Negotiate(2);
       for (int i = 0; i < kPerClient; ++i) {
         const int64_t day = data.first_day() + (i % 3);
         const int64_t deadline = (i % 7 == 0) ? 1000 : 0;
@@ -549,10 +473,10 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
 
   // Abuse: hostile clients hammering the same server.
   std::thread abuser([&] {
-    for (int i = 0; i < 10; ++i) {
+    for (int i = 0; i < 12; ++i) {
       RawClient raw(front.port());
       if (!raw.connected()) continue;
-      switch (i % 4) {
+      switch (i % 6) {
         case 0:  // binary garbage
           raw.Send("\x00\x01\xfe garbage\n");
           raw.ReadLine(200);
@@ -568,6 +492,16 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
           break;
         case 3:  // request, then RST without reading the reply
           raw.Send("RANK " + std::to_string(data.first_day()) + " 5\n");
+          raw.Reset();
+          break;
+        case 4:  // v2 framing abuse: bad ids, bad verbs, bad PROTO
+          raw.Send("2 notanid PING\nPROTO 99\n2 1 FLY\n2 2\n");
+          raw.ReadLine(200);
+          break;
+        case 5:  // a flood of pipelined v2 requests, then vanish
+          raw.Send("2 1 RANK " + std::to_string(data.first_day()) +
+                   " 3\n2 2 SCORE " + std::to_string(data.first_day()) +
+                   " 1\n2 3 HEALTH\n");
           raw.Reset();
           break;
       }
@@ -588,10 +522,13 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
   for (auto& t : threads) t.join();
   abuser.join();
 
-  // No crash, no hang — and the server is still answering cleanly.
+  // No crash, no hang — and the server is still answering cleanly. The
+  // injector stays installed, so the probe retries a faulted reply after
+  // the same short read timeout as the fleet.
   {
     Client::Options copts2;
     copts2.port = front.port();
+    copts2.recv_timeout_ms = 500;
     Client probe(copts2);
     auto health = probe.Health();
     ASSERT_TRUE(health.ok()) << health.status().ToString();
@@ -606,12 +543,13 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
   // The accounting invariant: every request that reached Submit ended in
   // exactly one terminal counter.
   EXPECT_EQ(metrics.requests.Value(), AccountedRequests(metrics));
-  EXPECT_GE(metrics.requests.Value(), kClients * kPerClient);
+  EXPECT_GE(metrics.requests.Value(),
+            static_cast<uint64_t>(kClients * kPerClient));
   // The injector actually did something.
   EXPECT_GT(chaos.plans(), 0u);
   EXPECT_GT(chaos.faults(), 0u);
   // And the client layer absorbed the faults by retrying.
-  EXPECT_GT(metrics.client_retries.Value(), 0);
+  EXPECT_GT(metrics.client_retries.Value(), 0u);
   EXPECT_EQ(client_ok.load() + client_err.load(), kClients * kPerClient);
   // Dropped/truncated/reset replies force retries, so most calls succeed.
   EXPECT_GT(client_ok.load(), 0);

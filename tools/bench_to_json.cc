@@ -26,7 +26,9 @@
 //    validates the required keys of any report kind, including the
 //    serving reports bench/bench_serve writes (BENCH_serve.json from
 //    --mode front, BENCH_serve_robust.json from --mode overload); exit 0
-//    on a well-formed report. CI runs this as the bench smoke.
+//    on a well-formed report. A serving report must carry every
+//    accounting invariant (BENCH_serve.json: client side and server side
+//    per phase) and each must be true. CI runs this as the bench smoke.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -525,31 +527,44 @@ class JsonChecker {
   explicit JsonChecker(const std::string& text) : s_(text) {}
 
   /// Parses one complete JSON value; false on any syntax error or
-  /// trailing garbage. Records top-level object keys as a side effect.
+  /// trailing garbage. Records as a side effect the keys of the top-level
+  /// object and of the objects directly under it (as "epoll.qps"), and
+  /// which of those keys hold `false`.
   bool Validate() {
     SkipWs();
-    if (!Value(/*top_level=*/true)) return false;
+    if (!Value(/*depth=*/0, "")) return false;
     SkipWs();
     return pos_ == s_.size();
   }
 
-  const std::vector<std::string>& top_keys() const { return top_keys_; }
+  const std::vector<std::string>& keys() const { return keys_; }
+  bool IsFalse(const std::string& key) const {
+    return std::find(false_keys_.begin(), false_keys_.end(), key) !=
+           false_keys_.end();
+  }
 
  private:
-  bool Value(bool top_level = false) {
+  static constexpr int kRecordDepth = 2;  ///< object levels whose keys count
+
+  /// `path` is the recorded key this value belongs to ("" when unrecorded).
+  bool Value(int depth, const std::string& path) {
     SkipWs();
     if (pos_ >= s_.size()) return false;
     const char c = s_[pos_];
-    if (c == '{') return Object(top_level);
+    if (c == '{') return Object(depth, path);
     if (c == '[') return Array();
     if (c == '"') return String(nullptr);
     if (c == 't') return Literal("true");
-    if (c == 'f') return Literal("false");
+    if (c == 'f') {
+      if (!Literal("false")) return false;
+      if (!path.empty()) false_keys_.push_back(path);
+      return true;
+    }
     if (c == 'n') return Literal("null");
     return Number();
   }
 
-  bool Object(bool top_level) {
+  bool Object(int depth, const std::string& path) {
     ++pos_;  // '{'
     SkipWs();
     if (Peek() == '}') {
@@ -560,11 +575,15 @@ class JsonChecker {
       SkipWs();
       std::string key;
       if (!String(&key)) return false;
-      if (top_level) top_keys_.push_back(key);
+      std::string full;
+      if (depth < kRecordDepth) {
+        full = path.empty() ? key : path + "." + key;
+        keys_.push_back(full);
+      }
       SkipWs();
       if (Peek() != ':') return false;
       ++pos_;
-      if (!Value()) return false;
+      if (!Value(depth + 1, full)) return false;
       SkipWs();
       if (Peek() == ',') {
         ++pos_;
@@ -586,7 +605,7 @@ class JsonChecker {
       return true;
     }
     for (;;) {
-      if (!Value()) return false;
+      if (!Value(kRecordDepth, "")) return false;
       SkipWs();
       if (Peek() == ',') {
         ++pos_;
@@ -647,7 +666,8 @@ class JsonChecker {
 
   const std::string& s_;
   size_t pos_ = 0;
-  std::vector<std::string> top_keys_;
+  std::vector<std::string> keys_;
+  std::vector<std::string> false_keys_;
 };
 
 int Check(const std::string& path) {
@@ -665,7 +685,7 @@ int Check(const std::string& path) {
                  path.c_str());
     return 1;
   }
-  const auto& keys = checker.top_keys();
+  const auto& keys = checker.keys();
   const bool is_scale =
       std::find(keys.begin(), keys.end(), "rows") != keys.end();
   const bool is_stream =
@@ -676,11 +696,21 @@ int Check(const std::string& path) {
       std::find(keys.begin(), keys.end(), "capacity_qps") != keys.end();
   const std::vector<const char*> required =
       is_serve
-          ? std::vector<const char*>{"bench", "config", "threaded", "epoll",
-                                     "speedup", "latency", "overload"}
+          ? std::vector<const char*>{"bench",
+                                     "config",
+                                     "epoll",
+                                     "epoll.client_accounting_holds",
+                                     "epoll.accounting_holds",
+                                     "latency",
+                                     "latency.client_accounting_holds",
+                                     "latency.accounting_holds",
+                                     "overload",
+                                     "overload.client_accounting_holds",
+                                     "overload.accounting_holds"}
           : is_serve_robust
                 ? std::vector<const char*>{"bench", "config", "capacity_qps",
-                                           "overload", "accounting"}
+                                           "overload", "accounting",
+                                           "accounting.holds"}
                 : is_stream
                       ? std::vector<const char*>{"bench", "config",
                                                  "ticks_per_sec",
@@ -704,6 +734,18 @@ int Check(const std::string& path) {
     }
   }
   if (missing > 0) return 1;
+  // A report whose accounting invariant failed is not a valid capture.
+  int broken = 0;
+  for (const char* key : required) {
+    const std::string k = key;
+    if (k.size() >= 5 && k.compare(k.size() - 5, 5, "holds") == 0 &&
+        checker.IsFalse(k)) {
+      std::fprintf(stderr, "bench_to_json: %s reports %s = false\n",
+                   path.c_str(), key);
+      ++broken;
+    }
+  }
+  if (broken > 0) return 1;
   std::fprintf(stderr, "bench_to_json: %s OK\n", path.c_str());
   return 0;
 }
