@@ -3,13 +3,17 @@
 // that underlies Figure 5's speed comparison.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
 #include "baselines/lstm_models.h"
+#include "baselines/rtgcn_predictor.h"
 #include "common/thread_pool.h"
 #include "core/loss.h"
 #include "core/rtgcn.h"
@@ -17,9 +21,11 @@
 #include "market/market.h"
 #include "nn/rnn.h"
 #include "obs/trace.h"
+#include "serve/snapshot.h"
 #include "tensor/init.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
+#include "tensor/storage_pool.h"
 
 namespace rtgcn {
 namespace {
@@ -126,17 +132,28 @@ ModelFixture& Fixture() {
   return fixture;
 }
 
+// Serving's forward: ModelSnapshot::Score, with its storage pool.
 void BM_RtGcnForward(benchmark::State& state) {
   auto& f = Fixture();
-  Rng rng(2);
   core::RtGcnConfig cfg;
   cfg.strategy = static_cast<core::Strategy>(state.range(0));
   cfg.relational_filters = 32;
-  core::RtGcnModel model(f.data.relations.relations, cfg, &rng);
-  model.SetTraining(false);
-  ag::NoGradGuard no_grad;
+  auto make = [&] {
+    return std::make_unique<baselines::RtGcnPredictor>(
+        f.data.relations.relations, cfg, /*alpha=*/0.1f, /*seed=*/2);
+  };
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("rtgcn_bench_micro_forward_" + std::to_string(::getpid()) + ".ckpt"))
+          .string();
+  make()->ExportSnapshot(path).Abort();
+  auto snapshot =
+      serve::ModelSnapshot::Load([&] { return serve::WrapPredictor(make()); },
+                                 path, /*version=*/1)
+          .MoveValueOrDie();
+  std::remove(path.c_str());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.Forward(ag::Constant(f.features), &rng));
+    benchmark::DoNotOptimize(snapshot->Score(f.features));
   }
 }
 BENCHMARK(BM_RtGcnForward)->Arg(0)->Arg(1)->Arg(2)
@@ -151,6 +168,7 @@ void BM_RtGcnTrainStep(benchmark::State& state) {
   cfg.relational_filters = 32;
   core::RtGcnModel model(f.data.relations.relations, cfg, &rng);
   ag::Adam opt(model.Parameters(), 1e-3f);
+  ScopedStoragePool storage_pool;  // as in GradientPredictor::Fit
   for (auto _ : state) {
     opt.ZeroGrad();
     auto scores = model.Forward(ag::Constant(f.features), &rng);

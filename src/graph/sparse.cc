@@ -231,8 +231,46 @@ float DotF(const float* a, const float* b, int64_t f) {
   return acc;
 }
 
-void PublishOp(const char* counter) {
-  obs::Registry::Global().GetCounter(counter)->Increment();
+// Inputs and outputs of the time-sensitive forward; `corr` and `p` are
+// [T, nnz] and may be null when the caller does not keep them.
+struct TimeSensitiveArgs {
+  const int64_t* rp;
+  const int32_t* col;
+  const float* as;  // coeff_e · s_e
+  const float* x;   // [T, N, D]
+  int64_t n, d, nnz;
+  float c;          // 1 / √D
+  float* corr;
+  float* p;
+  float* y;         // [T, N, D]
+};
+
+// Row i at step t: p[t, e] = as_e · c (x_{t,i} · x_{t,j}) and
+// y_{t,i} = Σ_e p[t, e] x_{t,j}, summed in entry order. kD > 0 fixes the
+// width at compile time so the sum stays in registers; kD == 0 reads
+// a.d and sums in place in y (zeroed). Both sum in the same order, so
+// every width gives the same bits.
+template <int64_t kD>
+void TimeSensitiveRow(const TimeSensitiveArgs& a, int64_t i, int64_t t) {
+  const int64_t d = kD > 0 ? kD : a.d;
+  const float* xt = a.x + t * a.n * d;
+  const float* xi = xt + i * d;
+  float* yi = a.y + (t * a.n + i) * d;
+  float local[kD > 0 ? kD : 1] = {};
+  float* acc = kD > 0 ? local : yi;
+  float* corr = a.corr != nullptr ? a.corr + t * a.nnz : nullptr;
+  float* p = a.p != nullptr ? a.p + t * a.nnz : nullptr;
+  for (int64_t e = a.rp[i]; e < a.rp[i + 1]; ++e) {
+    const float* xj = xt + static_cast<int64_t>(a.col[e]) * d;
+    const float cv = a.c * DotF(xi, xj, d);
+    const float pv = a.as[e] * cv;
+    if (corr != nullptr) corr[e] = cv;
+    if (p != nullptr) p[e] = pv;
+    for (int64_t k = 0; k < d; ++k) acc[k] += pv * xj[k];
+  }
+  if constexpr (kD > 0) {
+    for (int64_t k = 0; k < kD; ++k) yi[k] = local[k];
+  }
 }
 
 }  // namespace
@@ -243,7 +281,10 @@ void PublishOp(const char* counter) {
 
 ag::VarPtr SparsePropagate(const CsrPtr& g, const ag::VarPtr& x) {
   obs::Span span("graph.SpMM[sparse]", "graph");
-  PublishOp("graph.sparse.op.propagate");
+  // Resolved once per call site: registry pointers are stable.
+  static obs::Counter* const op_count =
+      obs::Registry::Global().GetCounter("graph.sparse.op.propagate");
+  op_count->Increment();
   RTGCN_CHECK_EQ(x->value.ndim(), 2);
   RTGCN_CHECK_EQ(x->value.dim(0), g->num_nodes());
   const int64_t f = x->value.dim(1);
@@ -276,7 +317,9 @@ ag::VarPtr SparseEdgeWeightPropagate(const CsrPtr& g, const ag::VarPtr& w,
                                      const ag::VarPtr& b, const ag::VarPtr& x,
                                      Tensor* save_edge_values) {
   obs::Span span("graph.EdgeWeight[sparse]", "graph");
-  PublishOp("graph.sparse.op.edge_weight");
+  static obs::Counter* const op_count =
+      obs::Registry::Global().GetCounter("graph.sparse.op.edge_weight");
+  op_count->Increment();
   RTGCN_CHECK_EQ(w->value.ndim(), 1);
   RTGCN_CHECK_EQ(w->value.dim(0), g->num_relation_types());
   RTGCN_CHECK_EQ(b->value.numel(), 1);
@@ -373,7 +416,9 @@ ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
                                         const ag::VarPtr& x,
                                         Tensor* save_edge_values) {
   obs::Span span("graph.TimeSensitive[sparse]", "graph");
-  PublishOp("graph.sparse.op.time_sensitive");
+  static obs::Counter* const op_count =
+      obs::Registry::Global().GetCounter("graph.sparse.op.time_sensitive");
+  op_count->Increment();
   RTGCN_CHECK_EQ(w->value.ndim(), 1);
   RTGCN_CHECK_EQ(w->value.dim(0), g->num_relation_types());
   RTGCN_CHECK_EQ(b->value.numel(), 1);
@@ -393,46 +438,43 @@ ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
     (*as)[static_cast<size_t>(e)] = coeff[e] * (*s)[static_cast<size_t>(e)];
   }
 
-  // corr[t, e] = (x_{t,i} · x_{t,j}) / √D ; p[t, e] = as_e · corr[t, e].
-  auto corr = std::make_shared<std::vector<float>>(
-      static_cast<size_t>(t_steps * nnz));
-  auto p = std::make_shared<std::vector<float>>(
-      static_cast<size_t>(t_steps * nnz));
-  Tensor y = Tensor::Zeros(x->value.shape());
+  // corr[t, e] = (x_{t,i} · x_{t,j}) / √D is only needed by the backward,
+  // p[t, e] = as_e · corr[t, e] by the backward and save_edge_values.
+  const bool tape = ag::GradMode::enabled() &&
+                    (ag::NeedsGrad(w) || ag::NeedsGrad(b) || ag::NeedsGrad(x));
+  Tensor corr = tape ? Tensor({t_steps, nnz}) : Tensor();
+  Tensor p = (tape || save_edge_values != nullptr) ? Tensor({t_steps, nnz})
+                                                    : Tensor();
+  Tensor y(x->value.shape());
   {
-    const float* px = x->value.data();
-    const int64_t* rp = g->row_ptr().data();
-    const int32_t* col = g->col().data();
-    float* pcorr = corr->data();
-    float* pp = p->data();
-    float* py = y.data();
+    const TimeSensitiveArgs args{
+        .rp = g->row_ptr().data(),
+        .col = g->col().data(),
+        .as = as->data(),
+        .x = x->value.data(),
+        .n = n,
+        .d = d,
+        .nnz = nnz,
+        .c = c,
+        .corr = corr.defined() ? corr.data() : nullptr,
+        .p = p.defined() ? p.data() : nullptr,
+        .y = y.data(),
+    };
+    void (*row)(const TimeSensitiveArgs&, int64_t, int64_t) =
+        d == 4 ? TimeSensitiveRow<4>
+        : d == 16 ? TimeSensitiveRow<16>
+                  : TimeSensitiveRow<0>;
     ParallelFor(0, n, 16, [&](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) {
-        for (int64_t t = 0; t < t_steps; ++t) {
-          const float* xt = px + t * n * d;
-          const float* xi = xt + i * d;
-          float* yi = py + (t * n + i) * d;
-          for (int64_t e = rp[i]; e < rp[i + 1]; ++e) {
-            const float* xj = xt + static_cast<int64_t>(col[e]) * d;
-            const float cv = c * DotF(xi, xj, d);
-            const float pv = (*as)[static_cast<size_t>(e)] * cv;
-            pcorr[t * nnz + e] = cv;
-            pp[t * nnz + e] = pv;
-            for (int64_t k = 0; k < d; ++k) yi[k] += pv * xj[k];
-          }
-        }
+        for (int64_t t = 0; t < t_steps; ++t) row(args, i, t);
       }
     });
   }
-  if (save_edge_values != nullptr) {
-    *save_edge_values = Tensor({t_steps, nnz}, std::vector<float>(*p));
-  }
+  if (save_edge_values != nullptr) *save_edge_values = p;
 
   auto out = std::make_shared<ag::Variable>(std::move(y));
   out->op_name = "graph.SparseTimeSensitivePropagate";
-  const bool any_grad =
-      ag::NeedsGrad(w) || ag::NeedsGrad(b) || ag::NeedsGrad(x);
-  if (ag::GradMode::enabled() && any_grad) {
+  if (tape) {
     out->parents = {w, b, x};
     Tensor x_val = x->value;
     out->backward_fn = [g, w, b, x, x_val, s, as, corr, p, t_steps, n, d, c,
@@ -446,6 +488,8 @@ ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
       const float* coeff = g->coeff().data();
       const int64_t* tp = g->type_ptr().data();
       const int32_t* types = g->types().data();
+      const float* pcorr = corr.data();
+      const float* pp = p.data();
       const int64_t k = w->value.numel();
 
       if (ag::NeedsGrad(w) || ag::NeedsGrad(b)) {
@@ -462,8 +506,7 @@ ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
                     const float* gi = pg + (t * n + i) * d;
                     const float* xj =
                         px + (t * n + static_cast<int64_t>(col[e])) * d;
-                    ds += (*corr)[static_cast<size_t>(t * nnz + e)] *
-                          DotF(gi, xj, d);
+                    ds += pcorr[t * nnz + e] * DotF(gi, xj, d);
                   }
                   ds *= coeff[e];
                   for (int64_t t = tp[e]; t < tp[e + 1]; ++t) {
@@ -511,8 +554,7 @@ ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
                 const int64_t j = col[e];
                 const float* gj = gt + j * d;
                 const float* xj = xt + j * d;
-                const float p_rev =
-                    (*p)[static_cast<size_t>(t * nnz + rev[e])];
+                const float p_rev = pp[t * nnz + rev[e]];
                 const float s_e = (*s)[static_cast<size_t>(e)];
                 const float coef2 = (*as)[static_cast<size_t>(e)] * c *
                                     DotF(gm, xj, d);
@@ -541,7 +583,9 @@ ag::VarPtr SparseGatAttention(const CsrPtr& g, const ag::VarPtr& src,
                               const ag::VarPtr& dst, const ag::VarPtr& h,
                               float leaky_slope, Tensor* save_alpha) {
   obs::Span span("graph.GatAttention[sparse]", "graph");
-  PublishOp("graph.sparse.op.gat_attention");
+  static obs::Counter* const op_count =
+      obs::Registry::Global().GetCounter("graph.sparse.op.gat_attention");
+  op_count->Increment();
   const int64_t n = g->num_nodes();
   RTGCN_CHECK_EQ(src->value.numel(), n);
   RTGCN_CHECK_EQ(dst->value.numel(), n);

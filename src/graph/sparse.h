@@ -152,7 +152,8 @@ ag::VarPtr SparseEdgeWeightPropagate(const CsrPtr& g, const ag::VarPtr& w,
 
 /// Time-sensitive strategy for x [T, N, D]: p_{t,e} = coeff_e · s_e ·
 /// (x_{t,i} · x_{t,j}) / √D, y_t = P_t x_t. Gradients flow to w, b and x
-/// (including the correlation term). `save_edge_values` receives [T, nnz].
+/// (including the correlation term). `save_edge_values` receives [T, nnz],
+/// sharing storage with the tape's copy: read it, do not write it.
 ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
                                         const ag::VarPtr& b,
                                         const ag::VarPtr& x,

@@ -13,7 +13,8 @@
 // concurrent queries for the same day — and, via the cache, all later
 // queries against the same model version — are answered by a single
 // forward. The forward itself data-parallelizes over stocks through the
-// shared thread pool (common/thread_pool.h).
+// shared thread pool (common/thread_pool.h) and recycles its tensor
+// storage through the snapshot's pool (serve/snapshot.h).
 //
 // Every batch pins exactly one registry snapshot for its whole execution,
 // so each response carries the version of exactly one published model —

@@ -60,6 +60,7 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
 
 Tensor ModelSnapshot::Score(const Tensor& features) const {
   std::lock_guard<std::mutex> lock(forward_mu_);
+  ScopedStoragePool storage_scope(storage_pool_);
   ag::NoGradGuard no_grad;
   return model_->Score(features);
 }

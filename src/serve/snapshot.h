@@ -7,6 +7,11 @@
 // atomically publish a new one while in-flight queries keep scoring against
 // the version they started with (RCU-style reclamation: the last reference
 // frees the old model).
+//
+// Each snapshot owns the StoragePool its forwards recycle tensor storage
+// through (tensor/storage_pool.h): one forward's working set stays cached
+// between requests, and a reload frees it together with the old snapshot,
+// so a universe-size change never leaves dead buffer sizes behind.
 #ifndef RTGCN_SERVE_SNAPSHOT_H_
 #define RTGCN_SERVE_SNAPSHOT_H_
 
@@ -19,6 +24,7 @@
 #include "common/status.h"
 #include "harness/gradient_predictor.h"
 #include "nn/module.h"
+#include "tensor/storage_pool.h"
 #include "tensor/tensor.h"
 
 namespace rtgcn::serve {
@@ -63,11 +69,18 @@ class ModelSnapshot {
   const std::string& source_path() const { return source_path_; }
   int64_t num_parameters() const { return num_parameters_; }
 
-  /// Forward-only scores [N] for features [T, N, D], under NoGradGuard.
+  /// Forward-only scores [N] for features [T, N, D], under NoGradGuard,
+  /// bit-identical to the wrapped model's own Score on the same features.
   /// Thread-safe: concurrent callers are serialized on an internal mutex
   /// (the forward itself data-parallelizes via the shared thread pool), so
-  /// any thread — batcher, test, or bench — may score any snapshot.
+  /// any thread — batcher, test, or bench — may score any snapshot. The
+  /// calling thread allocates the forward's temporaries from this
+  /// snapshot's storage pool; the returned tensor may share pooled storage
+  /// and stays valid after the snapshot is gone.
   Tensor Score(const Tensor& features) const;
+
+  /// Tensor storage recycled across this snapshot's forwards.
+  const StoragePool& storage_pool() const { return storage_pool_; }
 
  private:
   ModelSnapshot(std::unique_ptr<ServableModel> model, std::string path,
@@ -78,6 +91,7 @@ class ModelSnapshot {
   int64_t version_;
   int64_t num_parameters_ = 0;
   mutable std::mutex forward_mu_;
+  mutable StoragePool storage_pool_;  // entered under forward_mu_
 };
 
 }  // namespace rtgcn::serve

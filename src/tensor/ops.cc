@@ -46,6 +46,11 @@ bool BroadcastableTo(const Shape& from, const Shape& to) {
   return true;
 }
 
+bool IsRowBroadcast(const Shape& a, const Shape& b) {
+  if (b.empty() || b.size() > a.size() || ShapeNumel(b) == 0) return false;
+  return std::equal(b.begin(), b.end(), a.end() - b.size());
+}
+
 namespace {
 
 // Minimum elements per chunk for parallel elementwise/copy kernels: small
@@ -106,6 +111,25 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
     ParallelFor(0, b.numel(), kElemGrain, [&](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = fn(s, pb[i]);
     });
+    return out;
+  }
+  // Fast path: b repeats along a's rows (IsRowBroadcast).
+  if (IsRowBroadcast(a.shape(), b.shape())) {
+    Tensor out(a.shape());
+    const int64_t cols = b.numel();
+    const float* pa = a.data();
+    const float* pb = b.data();
+    float* po = out.data();
+    ParallelFor(0, a.numel() / cols, std::max<int64_t>(1, kElemGrain / cols),
+                [&](int64_t lo, int64_t hi) {
+                  for (int64_t r = lo; r < hi; ++r) {
+                    const float* ar = pa + r * cols;
+                    float* orow = po + r * cols;
+                    for (int64_t k = 0; k < cols; ++k) {
+                      orow[k] = fn(ar[k], pb[k]);
+                    }
+                  }
+                });
     return out;
   }
   // General broadcast path. Each chunk seeds the odometer from its first
@@ -228,7 +252,8 @@ Tensor ReduceToShape(const Tensor& t, const Shape& shape) {
 // ---------------------------------------------------------------------------
 
 // The same-shape and scalar fast paths run through the dispatched kernel
-// backend (reference or avx2); broadcast shapes keep the generic odometer.
+// backend (reference or avx2); broadcast shapes go through BinaryOp (row
+// loop or generic odometer).
 Tensor Add(const Tensor& a, const Tensor& b) {
   RTGCN_CHECK(a.defined() && b.defined());
   const kernels::KernelSet& ks = kernels::Active();

@@ -34,6 +34,11 @@ Shape BroadcastShape(const Shape& a, const Shape& b);
 /// True when `from` broadcasts to `to`.
 bool BroadcastableTo(const Shape& from, const Shape& to);
 
+/// True when `b` is a non-empty shape equal to the trailing dims of `a`
+/// (a bias add such as [T·N, C] + [C]): elementwise ops then loop over the
+/// rows of `a` instead of the generic broadcast odometer.
+bool IsRowBroadcast(const Shape& a, const Shape& b);
+
 /// Materializes `t` broadcast to `shape` (copies data).
 Tensor BroadcastTo(const Tensor& t, const Shape& shape);
 

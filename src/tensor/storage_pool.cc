@@ -7,9 +7,9 @@
 namespace rtgcn {
 namespace internal {
 
-/// Exact-size free lists shared by one scope and every buffer it handed
-/// out; a buffer's deleter keeps the pool alive past the scope.
-class StoragePool : public std::enable_shared_from_this<StoragePool> {
+/// Exact-size free lists shared by one pool and every buffer it handed
+/// out; a buffer's deleter keeps the lists alive past the pool.
+class FreeLists : public std::enable_shared_from_this<FreeLists> {
  public:
   using Buffer = std::vector<float>;
 
@@ -54,7 +54,7 @@ class StoragePool : public std::enable_shared_from_this<StoragePool> {
 
  private:
   struct ReturnToPool {
-    std::shared_ptr<StoragePool> pool;
+    std::shared_ptr<FreeLists> pool;
     void operator()(Buffer* buf) const { pool->Release(buf); }
   };
 
@@ -74,7 +74,7 @@ class StoragePool : public std::enable_shared_from_this<StoragePool> {
 };
 
 namespace {
-thread_local StoragePool* t_active_pool = nullptr;
+thread_local FreeLists* t_active_pool = nullptr;
 }  // namespace
 
 std::shared_ptr<std::vector<float>> AcquirePooledStorage(int64_t n,
@@ -85,18 +85,29 @@ std::shared_ptr<std::vector<float>> AcquirePooledStorage(int64_t n,
 
 }  // namespace internal
 
+StoragePool::StoragePool()
+    : lists_(std::make_shared<internal::FreeLists>()) {}
+
+StoragePool::~StoragePool() { lists_->Close(); }
+
+int64_t StoragePool::recycled() const { return lists_->recycled(); }
+int64_t StoragePool::cached() const { return lists_->cached(); }
+
 ScopedStoragePool::ScopedStoragePool()
-    : pool_(std::make_shared<internal::StoragePool>()),
+    : owned_(std::make_unique<StoragePool>()),
+      lists_(owned_->lists_.get()),
       outer_(internal::t_active_pool) {
-  internal::t_active_pool = pool_.get();
+  internal::t_active_pool = lists_;
 }
 
-ScopedStoragePool::~ScopedStoragePool() {
-  internal::t_active_pool = outer_;
-  pool_->Close();
+ScopedStoragePool::ScopedStoragePool(StoragePool& pool)
+    : lists_(pool.lists_.get()), outer_(internal::t_active_pool) {
+  internal::t_active_pool = lists_;
 }
 
-int64_t ScopedStoragePool::recycled() const { return pool_->recycled(); }
-int64_t ScopedStoragePool::cached() const { return pool_->cached(); }
+ScopedStoragePool::~ScopedStoragePool() { internal::t_active_pool = outer_; }
+
+int64_t ScopedStoragePool::recycled() const { return lists_->recycled(); }
+int64_t ScopedStoragePool::cached() const { return lists_->cached(); }
 
 }  // namespace rtgcn

@@ -1,20 +1,29 @@
-// Scope-bound recycling of tensor storage for allocation-heavy loops.
+// Recycling of tensor storage for allocation-heavy loops.
 //
 // A training step builds and drops the same set of tensor shapes every
-// iteration. Without recycling, each large buffer is a fresh heap (often
-// mmap) allocation whose pages fault in and get zeroed on first touch.
-// ScopedStoragePool keeps released buffers on exact-size free lists and
-// hands them back to the next allocation of that size on the same thread.
+// iteration, and so does a serving forward. Without recycling, each large
+// buffer is a fresh heap (often mmap) allocation whose pages fault in and
+// get zeroed on first touch. A StoragePool keeps released buffers on
+// exact-size free lists and hands them back to the next allocation of that
+// size on a thread that has entered it with a ScopedStoragePool.
+//
+// Two lifetimes:
+//  * ScopedStoragePool() opens a fresh pool for one scope; closing the
+//    scope frees its cache. GradientPredictor::Fit opens one per run.
+//  * A StoragePool object owns a pool that outlives its scopes. Its owner
+//    re-enters it with ScopedStoragePool(pool) for each call, and the cache
+//    is freed when the StoragePool is destroyed. serve::ModelSnapshot owns
+//    one and enters it in every Score, so a reload frees the old cache with
+//    the old snapshot.
 //
 // Scope rule:
-//  * Only the thread that opened the scope allocates from it, and only
+//  * Only a thread inside a scope allocates from the pool, and only
 //    storage of kPooledStorageMin floats or more. Other threads, and code
-//    with no open scope (serving), allocate from the heap exactly as before.
-//  * A pooled buffer may be released on any thread. While its pool's scope
-//    is open it returns to the free list; after the scope has closed it goes
-//    back to the heap. Tensors may therefore outlive the scope (trained
-//    parameters, optimizer state) with no special handling.
-//  * Closing a scope frees every buffer cached on its free lists.
+//    with no open scope, allocate from the heap exactly as before.
+//  * A pooled buffer may be released on any thread. While its pool is open
+//    it returns to the free list; after the pool has closed it goes back to
+//    the heap. Tensors may therefore outlive the pool (trained parameters,
+//    optimizer state, returned scores) with no special handling.
 //  * Scopes nest: the innermost open scope on a thread serves that thread's
 //    allocations, each buffer returns to the pool that created it, and
 //    closing an inner scope re-activates the outer one.
@@ -30,12 +39,12 @@
 
 namespace rtgcn {
 
-/// Smallest storage (in floats) that a ScopedStoragePool recycles; smaller
-/// buffers are cheap malloc hits and stay on the heap.
+/// Smallest storage (in floats) that a pool recycles; smaller buffers are
+/// cheap malloc hits and stay on the heap.
 inline constexpr int64_t kPooledStorageMin = 1024;
 
 namespace internal {
-class StoragePool;
+class FreeLists;
 
 /// Storage for `n` floats from the calling thread's innermost open
 /// ScopedStoragePool, zero-filled when `zero` is set. Returns null when no
@@ -43,10 +52,33 @@ class StoragePool;
 std::shared_ptr<std::vector<float>> AcquirePooledStorage(int64_t n, bool zero);
 }  // namespace internal
 
+/// \brief Exact-size free lists that outlive the scopes entering them.
+class StoragePool {
+ public:
+  StoragePool();
+  /// Frees the cached buffers; buffers still in use go to the heap when
+  /// they are released.
+  ~StoragePool();
+  StoragePool(const StoragePool&) = delete;
+  StoragePool& operator=(const StoragePool&) = delete;
+
+  /// Allocations served from a free list so far.
+  int64_t recycled() const;
+  /// Released buffers currently held on the free lists.
+  int64_t cached() const;
+
+ private:
+  friend class ScopedStoragePool;
+  std::shared_ptr<internal::FreeLists> lists_;
+};
+
 /// \brief RAII scope that recycles this thread's tensor storage.
 class ScopedStoragePool {
  public:
+  /// Opens a fresh pool that closes with this scope.
   ScopedStoragePool();
+  /// Re-enters `pool`; its free lists outlive this scope.
+  explicit ScopedStoragePool(StoragePool& pool);
   ~ScopedStoragePool();
   ScopedStoragePool(const ScopedStoragePool&) = delete;
   ScopedStoragePool& operator=(const ScopedStoragePool&) = delete;
@@ -57,8 +89,9 @@ class ScopedStoragePool {
   int64_t cached() const;
 
  private:
-  std::shared_ptr<internal::StoragePool> pool_;
-  internal::StoragePool* outer_;
+  std::unique_ptr<StoragePool> owned_;  // null when re-entering
+  internal::FreeLists* lists_;
+  internal::FreeLists* outer_;
 };
 
 }  // namespace rtgcn

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -34,6 +35,7 @@
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "serve_test_util.h"
+#include "tensor/ops.h"
 
 namespace rtgcn::serve {
 namespace {
@@ -543,6 +545,107 @@ TEST(HotReloadTest, LosslessUnderConcurrentLoad) {
   EXPECT_GE(metrics.reload_success.Value(), static_cast<uint64_t>(kSwaps));
   EXPECT_EQ(metrics.reload_failure.Value(), 0u);
   EXPECT_EQ(registry.CurrentVersion(), 1 + kSwaps);
+}
+
+// Each version serves its own sub-universe (the first n stocks), the way
+// stream::RollingPipeline serves a refit on a churned universe, so every
+// reload changes the sizes a snapshot's storage pool caches. Replies stay
+// bitwise those of a scope-free GradientPredictor::Score, the retired
+// snapshot is released together with its pooled buffers, and the
+// accounting identity holds.
+TEST(HotReloadTest, SnapshotStoragePoolsFollowTheUniverseAcrossReloads) {
+  constexpr int64_t kStocks = 1500;
+  constexpr int64_t kChurned = 1100;  // both sizes have pooled tensors
+  market::WindowDataset data = MakePanel(40, kStocks);
+  const std::string dir = TestDir("pool_universe");
+  LinearRanker model_a(2, 61);
+  LinearRanker model_b(2, 62);
+  // Odd versions: weights A on every stock; even: weights B on kChurned.
+  auto universe = [](int64_t version) {
+    return version % 2 == 1 ? kStocks : kChurned;
+  };
+  auto stocks = [&](int64_t day, int64_t n) {
+    return Slice(data.Features(day), 1, 0, n);
+  };
+  auto pad = [](const Tensor& scores) {
+    std::vector<float> full(static_cast<size_t>(kStocks),
+                            std::numeric_limits<float>::lowest());
+    std::copy(scores.data(), scores.data() + scores.numel(), full.begin());
+    return full;
+  };
+  const std::vector<int64_t> days = data.Days(data.first_day(), 12);
+  std::map<int64_t, std::vector<float>> expected_a, expected_b;
+  for (int64_t day : days) {
+    expected_a[day] = pad(model_a.Score(stocks(day, kStocks)));
+    expected_b[day] = pad(model_b.Score(stocks(day, kChurned)));
+  }
+
+  harness::CheckpointManager manager({dir, 1, 0});
+  ASSERT_TRUE(manager.Init().ok());
+  ASSERT_TRUE(model_a.ExportSnapshot(manager.CheckpointPath(1)).ok());
+  Metrics metrics;
+  ModelRegistry registry({dir, /*reload_interval_ms=*/0}, MakeFactory(),
+                         &metrics);
+  ASSERT_TRUE(registry.Start().ok());
+  InferenceServer::ScoreFn score_fn =
+      [&](const ModelSnapshot& snapshot,
+          int64_t day) -> Result<std::vector<float>> {
+    return pad(snapshot.Score(stocks(day, universe(snapshot.version()))));
+  };
+  InferenceServer::Options opts;
+  opts.max_batch = 8;
+  opts.batch_timeout_us = 100;
+  opts.enable_cache = false;  // every request runs a forward
+  InferenceServer server(score_fn, kStocks, &registry, opts, &metrics);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::weak_ptr<const ModelSnapshot> retired;
+  for (int64_t version = 1; version <= 5; ++version) {
+    if (version > 1) {
+      LinearRanker& source = version % 2 == 1 ? model_a : model_b;
+      ASSERT_TRUE(
+          source.ExportSnapshot(manager.CheckpointPath(version)).ok());
+      ASSERT_TRUE(registry.PollOnce());
+    }
+    ASSERT_EQ(registry.CurrentVersion(), version);
+    const auto& want = version % 2 == 1 ? expected_a : expected_b;
+    std::atomic<int> failures{0};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 4; ++c) {
+      clients.emplace_back([&, c] {
+        for (size_t q = 0; q < days.size(); ++q) {
+          const int64_t day = days[(q + static_cast<size_t>(c) * 5) %
+                                   days.size()];
+          auto reply = server.Rank(day);
+          if (!reply.ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          const RankReply& r = reply.ValueOrDie();
+          if (r.model_version != version || r.scores != want.at(day)) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(failures.load(), 0) << "version " << version;
+    EXPECT_EQ(mismatches.load(), 0) << "version " << version;
+    // Every batch that pinned the previous version finished before this
+    // version's first reply, so nothing holds that snapshot or its pool.
+    if (version > 1) {
+      EXPECT_TRUE(retired.expired()) << "version " << version - 1;
+    }
+    const std::shared_ptr<const ModelSnapshot> current = registry.Current();
+    EXPECT_GT(current->storage_pool().recycled(), 0) << "version " << version;
+    EXPECT_GT(current->storage_pool().cached(), 0) << "version " << version;
+    retired = current;
+  }
+  server.Stop();
+  registry.Stop();
+  EXPECT_EQ(metrics.requests.Value(), AccountedRequests(metrics));
+  EXPECT_EQ(metrics.responses_ok.Value(), metrics.requests.Value());
 }
 
 // ---------------------------------------------------------------------------

@@ -6,17 +6,20 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
 #include "baselines/rsr.h"
+#include "common/thread_pool.h"
 #include "core/rtgcn.h"
 #include "graph/adjacency.h"
 #include "graph/gat.h"
 #include "graph/sparse.h"
 #include "graph_checker.h"
+#include "kernel_checker.h"
 #include "obs/registry.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
@@ -51,6 +54,11 @@ int64_t EntryIndex(const graph::CsrGraph& g, int64_t i, int64_t j) {
     if (g.col()[e] == j) return e;
   }
   return -1;
+}
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.defined() && b.defined() && a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.numel()) == 0;
 }
 
 std::vector<int32_t> EntryTypes(const graph::CsrGraph& g, int64_t e) {
@@ -328,6 +336,63 @@ TEST(SparseOpsTest, TimeSensitivePropagateMatchesDense) {
   }
 }
 
+// Taped and untaped calls share one loop: the output and the saved edge
+// values are bitwise equal with grad on and off, at 1/2/4 threads, for
+// widths on the fixed-width path (4, 16) and the generic one (3), under
+// every kernel backend.
+TEST(SparseOpsTest, TimeSensitiveTapedAndUntapedAreBitIdentical) {
+  Rng rng(24);
+  const graph::RelationTensor rel = RandomRelations(80, 4, 400, &rng);
+  const graph::CsrPtr g = graph::CsrGraph::NormalizedAdjacency(rel);
+  const Tensor w0 = RandomGaussian({4}, 1.0f, 0.1f, &rng);
+  const Tensor b0 = RandomGaussian({1}, 0.0f, 0.1f, &rng);
+  std::vector<kernels::Backend> backends = {kernels::Backend::kReference};
+  if (kernels::Avx2().supported()) backends.push_back(kernels::Backend::kAvx2);
+  const int saved_threads = NumThreads();
+  for (const int64_t d : {3, 4, 16}) {
+    const Tensor x0 = RandomUniform({6, 80, d}, 0.5f, 1.5f, &rng);
+    // grad: 1 tapes, 0 runs under NoGradGuard, -1 also skips the save.
+    auto run = [&](int grad, Tensor* edge_values) {
+      auto w = ag::MakeVariable(w0.Clone(), true);
+      auto b = ag::MakeVariable(b0.Clone(), true);
+      auto x = ag::MakeVariable(x0.Clone(), true);
+      std::optional<ag::NoGradGuard> no_grad;
+      if (grad <= 0) no_grad.emplace();
+      ag::VarPtr y = graph::SparseTimeSensitivePropagate(
+          g, w, b, x, grad >= 0 ? edge_values : nullptr);
+      EXPECT_EQ(y->backward_fn != nullptr, grad > 0);
+      return y->value;
+    };
+    Tensor ref_y, ref_p;
+    for (const kernels::Backend backend : backends) {
+      ScopedKernelBackend kernel_scope(backend);
+      for (const int threads : {1, 2, 4}) {
+        SetNumThreads(threads);
+        for (const int grad : {1, 0, -1}) {
+          const std::string what =
+              "d=" + std::to_string(d) + " backend=" +
+              kernels::Active().name + " threads=" + std::to_string(threads) +
+              " grad=" + std::to_string(grad);
+          Tensor p;
+          const Tensor y = run(grad, &p);
+          if (!ref_y.defined()) {
+            ref_y = y;
+            ref_p = p;
+            continue;
+          }
+          EXPECT_TRUE(BitwiseEqual(ref_y, y)) << what << " output";
+          if (grad >= 0) {
+            EXPECT_TRUE(BitwiseEqual(ref_p, p)) << what << " edge values";
+          }
+        }
+      }
+    }
+    ASSERT_EQ(ref_p.ndim(), 2);
+    EXPECT_EQ(ref_p.dim(1), g->num_entries());
+  }
+  SetNumThreads(saved_threads);
+}
+
 TEST(SparseOpsTest, GatAttentionMatchesDense) {
   GraphChecker checker;
   checker.set_rtol(1e-4f).set_atol(1e-5f);
@@ -477,6 +542,42 @@ TEST(GraphBackendEquivalenceTest, RtGcnModelAllStrategies) {
                               model.last_propagation().Clone()};
       for (const auto& p : model.Parameters()) out.push_back(p->grad);
       return out;
+    });
+  }
+}
+
+// Serving's forward: taping off. Scores and the propagation diagnostic
+// still match across graph backends, and within each backend the scores
+// are bitwise those of the taped forward.
+TEST(GraphBackendEquivalenceTest, RtGcnModelAllStrategiesUnderNoGrad) {
+  GraphChecker checker;
+  checker.set_rtol(2e-3f).set_atol(2e-4f);
+  Rng rng(34);
+  const graph::RelationTensor rel = RandomRelations(28, 5, 120, &rng);
+  const Tensor x0 = checker.Uniform({8, 28, 4}, 0.9f, 1.1f);
+  for (core::Strategy strat :
+       {core::Strategy::kUniform, core::Strategy::kWeight,
+        core::Strategy::kTimeSensitive}) {
+    checker.Check("RT-GCN no-grad (" + core::StrategyName(strat) + ")", [&]() {
+      Rng mrng(77);
+      core::RtGcnConfig cfg;
+      cfg.strategy = strat;
+      cfg.window = 8;
+      cfg.num_features = 4;
+      cfg.relational_filters = 6;
+      cfg.temporal_stride = 2;
+      cfg.dropout = 0.0f;
+      core::RtGcnModel model(rel, cfg, &mrng);
+      model.SetTraining(false);
+      Rng fwd(7);
+      const Tensor taped = model.Forward(ag::Constant(x0), &fwd)->value;
+      ag::NoGradGuard no_grad;
+      ag::VarPtr scores = model.Forward(ag::Constant(x0), &fwd);
+      EXPECT_TRUE(BitwiseEqual(taped, scores->value))
+          << core::StrategyName(strat) << " on "
+          << graph::GraphBackendName(graph::ActiveGraphBackend());
+      return std::vector<Tensor>{scores->value,
+                                 model.last_propagation().Clone()};
     });
   }
 }

@@ -111,6 +111,59 @@ TEST(StoragePoolTest, NestedScopes) {
   EXPECT_EQ(outer.recycled(), 1);
 }
 
+TEST(StoragePoolTest, ReenteredPoolKeepsItsCacheAcrossScopes) {
+  StoragePool pool;
+  const float* first = nullptr;
+  {
+    ScopedStoragePool scope(pool);
+    Tensor t({kBig});
+    first = t.data();
+  }
+  // Closing a re-entering scope keeps the cache.
+  EXPECT_EQ(pool.cached(), 1);
+  {
+    ScopedStoragePool scope(pool);
+    Tensor t({kBig});
+    EXPECT_EQ(t.data(), first);
+    EXPECT_EQ(scope.recycled(), 1);
+  }
+  EXPECT_EQ(pool.recycled(), 1);
+  EXPECT_EQ(pool.cached(), 1);
+  // Outside every scope, allocations come from the heap.
+  Tensor heap({kBig});
+  EXPECT_EQ(pool.recycled(), 1);
+}
+
+TEST(StoragePoolTest, DestroyingPoolFreesItsCache) {
+  // Cached buffers go with the pool; a buffer still in use returns to the
+  // heap when released (ASan checks both frees).
+  auto pool = std::make_unique<StoragePool>();
+  Tensor kept;
+  {
+    ScopedStoragePool scope(*pool);
+    kept = Tensor({kBig});
+    { Tensor t({kBig}); }
+  }
+  EXPECT_EQ(pool->cached(), 1);
+  pool.reset();
+  kept.Fill(1.0f);
+  kept = Tensor();
+}
+
+TEST(StoragePoolTest, ReenteredPoolNestsInsideAFreshScope) {
+  StoragePool pool;
+  ScopedStoragePool outer;
+  {
+    ScopedStoragePool inner(pool);
+    { Tensor t({kBig}); }
+  }
+  EXPECT_EQ(pool.cached(), 1);
+  EXPECT_EQ(outer.cached(), 0);
+  { Tensor t({kBig}); }
+  EXPECT_EQ(outer.cached(), 1);
+  EXPECT_EQ(pool.cached(), 1);
+}
+
 TEST(StoragePoolTest, ScopeIsPerThread) {
   ScopedStoragePool pool;
   std::thread([] { Tensor t({kBig}); }).join();

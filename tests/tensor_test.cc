@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "kernel_checker.h"
 #include "tensor/init.h"
 #include "tensor/kernels/kernels.h"
@@ -135,6 +139,93 @@ TEST(OpsTest, Broadcast3dWith2d) {
   Tensor b({2, 2}, {1, 0, 0, 1});
   Tensor c = Mul(a, b);
   EXPECT_TRUE(AllClose(c, Tensor({2, 2, 2}, {1, 0, 0, 4, 5, 0, 0, 8})));
+}
+
+// The generic broadcast, index by index: the oracle for BinaryOp's row
+// fast path.
+Tensor OdometerBroadcast(const Tensor& a, const Tensor& b,
+                         const std::function<float(float, float)>& fn) {
+  const Shape out_shape = BroadcastShape(a.shape(), b.shape());
+  Tensor out(out_shape);
+  const int64_t rank = static_cast<int64_t>(out_shape.size());
+  auto offset = [&](const Shape& shape, int64_t flat) {
+    const int64_t lead = rank - static_cast<int64_t>(shape.size());
+    int64_t off = 0;
+    int64_t stride = 1;
+    for (int64_t d = rank - 1; d >= lead; --d) {
+      const int64_t idx = flat % out_shape[d];
+      flat /= out_shape[d];
+      const int64_t dim = shape[d - lead];
+      if (dim != 1) off += idx * stride;
+      stride *= dim;
+    }
+    return off;
+  };
+  for (int64_t i = 0; i < out.numel(); ++i) {
+    out.data()[i] = fn(a.data()[offset(a.shape(), i)],
+                       b.data()[offset(b.shape(), i)]);
+  }
+  return out;
+}
+
+TEST(OpsTest, RowBroadcastMatchesOdometerBitwise) {
+  struct Case {
+    Shape a, b;
+    bool row;  // expected IsRowBroadcast
+  };
+  const std::vector<Case> cases = {
+      {{5, 7, 3}, {3}, true},         // [T, N, C] + [C]
+      {{4, 300, 16}, {16}, true},     // several parallel chunks
+      {{3, 11, 4}, {11, 4}, true},    // [T, N, C] + [N, C]
+      {{37, 5}, {5}, true},           // [R, C] + [C]
+      {{2000, 9}, {9}, true},
+      {{37, 5}, {37, 5}, true},       // [R, C] + [R, C]: same-shape path
+      {{6, 1}, {5}, false},           // [R, 1] + [C]
+      {{5}, {6, 5}, false},           // [C] + [R, C]
+      {{6, 5}, {6, 1}, false},        // column broadcast
+      {{2, 3, 4}, {3, 1}, false},
+  };
+  struct BinaryCase {
+    const char* name;
+    Tensor (*op)(const Tensor&, const Tensor&);
+    std::function<float(float, float)> fn;
+  };
+  const std::vector<BinaryCase> ops = {
+      {"Add", Add, [](float x, float y) { return x + y; }},
+      {"Sub", Sub, [](float x, float y) { return x - y; }},
+      {"Mul", Mul, [](float x, float y) { return x * y; }},
+      {"Div", Div, [](float x, float y) { return x / y; }},
+      {"Maximum", Maximum, [](float x, float y) { return std::max(x, y); }},
+      {"Minimum", Minimum, [](float x, float y) { return std::min(x, y); }},
+  };
+  std::vector<kernels::Backend> backends = {kernels::Backend::kReference};
+  if (kernels::Avx2().supported()) backends.push_back(kernels::Backend::kAvx2);
+  const int saved_threads = NumThreads();
+  Rng rng(5);
+  for (const Case& c : cases) {
+    EXPECT_EQ(IsRowBroadcast(c.a, c.b), c.row)
+        << ShapeToString(c.a) << " + " << ShapeToString(c.b);
+    const Tensor a = RandomGaussian(c.a, 0, 1, &rng);
+    const Tensor b = RandomGaussian(c.b, 0, 1, &rng);
+    for (const BinaryCase& op : ops) {
+      const Tensor want = OdometerBroadcast(a, b, op.fn);
+      for (const kernels::Backend backend : backends) {
+        ScopedKernelBackend scope(backend);
+        for (const int threads : {1, 4}) {
+          SetNumThreads(threads);
+          const Tensor got = op.op(a, b);
+          ASSERT_EQ(got.shape(), want.shape());
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                sizeof(float) * want.numel()),
+                    0)
+              << op.name << " " << ShapeToString(c.a) << " + "
+              << ShapeToString(c.b) << " [" << kernels::Active().name
+              << ", " << threads << " threads]";
+        }
+      }
+    }
+  }
+  SetNumThreads(saved_threads);
 }
 
 TEST(OpsTest, BroadcastShapeComputation) {

@@ -36,6 +36,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -59,6 +60,7 @@
 #include "tensor/init.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
+#include "tensor/storage_pool.h"
 
 namespace rtgcn {
 namespace {
@@ -146,6 +148,7 @@ TrainStepSample TimeTrainStep(kernels::Backend backend, int repeats) {
   const Tensor y = RandomGaussian({stocks}, 0, 0.02f, &rng);
   TrainStepSample s;
   s.backend = kernels::Active().name;
+  ScopedStoragePool storage_pool;  // as in GradientPredictor::Fit
   s.ms_per_step = 1e3 * BestSecondsPer(
                             [&] {
                               opt.ZeroGrad();
@@ -157,6 +160,24 @@ TrainStepSample TimeTrainStep(kernels::Backend backend, int repeats) {
                             },
                             repeats);
   return s;
+}
+
+// First "model name" line of /proc/cpuinfo, quotes and backslashes dropped
+// so it embeds in JSON as is; "unknown" where the file is unavailable.
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model;
+    for (char c : line.substr(colon + 1)) {
+      if (c != '"' && c != '\\') model += c;
+    }
+    return std::string(Trim(model));
+  }
+  return "unknown";
 }
 
 std::string FmtD(double v) {
@@ -210,6 +231,9 @@ int Generate(const std::string& out_path, const std::string& sizes_csv,
   js << "{\n";
   js << "  \"bench\": \"kernels\",\n";
   js << "  \"cpu_supports_avx2\": " << (avx2 ? "true" : "false") << ",\n";
+  js << "  \"host\": {\"cpu\": \"" << CpuModel()
+     << "\", \"nproc\": " << std::thread::hardware_concurrency()
+     << ", \"threads\": 1},\n";
   js << "  \"matmul\": [\n";
   for (size_t i = 0; i < matmul.size(); ++i) {
     const MatMulSample& s = matmul[i];
@@ -295,6 +319,7 @@ double TimeScaleStep(const graph::RelationTensor& rel,
   ag::Adam opt(model.Parameters(), 1e-3f);
   const Tensor x = RandomUniform({window, n, features}, 0.9f, 1.1f, &rng);
   const Tensor y = RandomGaussian({n}, 0, 0.02f, &rng);
+  ScopedStoragePool storage_pool;  // as in GradientPredictor::Fit
   return 1e3 * BestSecondsPer(
                    [&] {
                      opt.ZeroGrad();
