@@ -334,43 +334,21 @@ VarPtr ConcatOp(const std::vector<VarPtr>& parts, int64_t axis) {
                 });
 }
 
-VarPtr Downsample(const VarPtr& a, int64_t axis, int64_t step, int64_t start) {
-  const int64_t norm_axis = NormalizeAxis(axis, a->value.ndim());
-  RTGCN_CHECK_GE(step, 1);
-  const Shape in_shape = a->shape();
-  const int64_t len = in_shape[norm_axis];
-  RTGCN_CHECK(start >= 0 && start < len);
-  const int64_t out_len = (len - start + step - 1) / step;
-  int64_t outer = 1, inner = 1;
-  for (int64_t i = 0; i < norm_axis; ++i) outer *= in_shape[i];
-  for (size_t i = norm_axis + 1; i < in_shape.size(); ++i) inner *= in_shape[i];
-  Shape out_shape = in_shape;
-  out_shape[norm_axis] = out_len;
-  Tensor out(out_shape);
-  const float* pa = a->value.data();
-  float* po = out.data();
-  for (int64_t o = 0; o < outer; ++o) {
-    for (int64_t t = 0; t < out_len; ++t) {
-      std::memcpy(po + (o * out_len + t) * inner,
-                  pa + (o * len + start + t * step) * inner,
-                  inner * sizeof(float));
-    }
-  }
-  return MakeOp("Downsample", out, {a},
-                [a, in_shape, norm_axis, step, start, out_len, outer, inner,
-                 len](const Tensor& g) {
-                  Tensor full = Tensor::Zeros(in_shape);
-                  const float* pg = g.data();
-                  float* pf = full.data();
-                  for (int64_t o = 0; o < outer; ++o) {
-                    for (int64_t t = 0; t < out_len; ++t) {
-                      std::memcpy(pf + (o * len + start + t * step) * inner,
-                                  pg + (o * out_len + t) * inner,
-                                  inner * sizeof(float));
-                    }
-                  }
-                  a->AccumulateGrad(std::move(full));
+VarPtr GatherRows(const VarPtr& a, int64_t first, int64_t step,
+                  int64_t count) {
+  RTGCN_CHECK_GE(a->value.ndim(), 2);
+  const int64_t cols = a->value.dim(a->value.ndim() - 1);
+  return MakeOp("GatherRows",
+                rtgcn::GatherRows(a->value, first, step, count)
+                    .Reshape({-1, cols}),
+                {a}, [a, first, step](const Tensor& g) {
+                  a->AccumulateGradRows(g, first, step);
                 });
+}
+
+VarPtr Alias(const VarPtr& a) {
+  return MakeOp("Alias", a->value, {a},
+                [a](const Tensor& g) { a->AccumulateGrad(g); });
 }
 
 // ---------------------------------------------------------------------------

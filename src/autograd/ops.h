@@ -70,11 +70,19 @@ VarPtr Reshape(const VarPtr& a, Shape shape);
 VarPtr SliceOp(const VarPtr& a, int64_t axis, int64_t start, int64_t end);
 VarPtr ConcatOp(const std::vector<VarPtr>& parts, int64_t axis);
 
-/// Keeps every `step`-th index along `axis` starting at `start`
-/// (out[..., i, ...] = a[..., start + i*step, ...]). Used for strided
-/// temporal convolution.
-VarPtr Downsample(const VarPtr& a, int64_t axis, int64_t step,
-                  int64_t start = 0);
+/// Gathers `count` rows of `a` along axis 0, row k from first + k*step;
+/// rows before 0 read as zeros (a causal left pad). Returns them flattened
+/// to [count * a.dim(1) * ... , a.dim(-1)], the shape a MatMul consumes.
+/// Backward adds each row into its source row of a's gradient in place:
+/// O(count) rows, never a full-size scatter. Used for the strided causal
+/// convolution's taps.
+VarPtr GatherRows(const VarPtr& a, int64_t first, int64_t step,
+                  int64_t count);
+
+/// Identity that shares a's value. The gradients of its consumers sum in
+/// its own buffer and reach `a` as one contribution, so they group the
+/// same way whatever else reads `a`.
+VarPtr Alias(const VarPtr& a);
 
 /// Training-time inverted dropout; identity when `training` is false or
 /// `p == 0`. `spatial_axis >= 0` drops entire slices along that axis

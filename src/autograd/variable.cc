@@ -38,6 +38,17 @@ void Variable::AccumulateGradSlice(const Tensor& g, int64_t axis,
   AddIntoSlice(&grad, axis, start, g);
 }
 
+void Variable::AccumulateGradRows(const Tensor& g, int64_t first,
+                                  int64_t step) {
+  if (!grad.defined()) {
+    grad = Tensor::Zeros(value.shape());
+    CopyIntoRows(&grad, first, step, g);
+    return;
+  }
+  if (!grad.unique_storage()) grad = grad.Clone();
+  AddIntoRows(&grad, first, step, g);
+}
+
 VarPtr MakeVariable(Tensor value, bool requires_grad) {
   return std::make_shared<Variable>(std::move(value), requires_grad);
 }

@@ -58,6 +58,11 @@ class Variable {
   /// was undefined). Costs O(g.numel()) rather than a full-size scatter.
   void AccumulateGradSlice(const Tensor& g, int64_t axis, int64_t start);
 
+  /// Adds row k of `g` into row first + k*step of this->grad along axis 0
+  /// (rows of numel() / dim(0) elements), skipping rows before 0; the rest
+  /// is left as in AccumulateGradSlice. Costs O(g.numel()).
+  void AccumulateGradRows(const Tensor& g, int64_t first, int64_t step);
+
   /// Drops accumulated gradient (between optimizer steps).
   void ZeroGrad() { grad = Tensor(); }
 };

@@ -52,6 +52,24 @@ namespace {
 // Set while a thread (worker or caller) executes chunks; nested ParallelFor
 // calls see it and run inline instead of deadlocking on the pool.
 thread_local bool tl_in_parallel_region = false;
+
+// Runs every chunk on the calling thread, in chunk order, inside a
+// parallel region; rethrows the first exception after the last chunk, as
+// the pool does.
+void RunInline(int64_t num_chunks, const std::function<void(int64_t)>& fn) {
+  tl_in_parallel_region = true;
+  std::exception_ptr error;
+  for (int64_t c = 0; c < num_chunks; ++c) {
+    try {
+      fn(c);
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  tl_in_parallel_region = false;
+  if (error) std::rethrow_exception(error);
+}
+
 }  // namespace
 
 ThreadPool& ThreadPool::Global() {
@@ -146,6 +164,15 @@ void ThreadPool::Run(int64_t num_chunks,
                      const std::function<void(int64_t)>& fn) {
   obs::Span span("pool.run", "pool");
   std::unique_lock<std::mutex> lock(mu_);
+  if (busy_) {
+    // Another outside thread owns the pool's one job slot. Run this job's
+    // chunks (the same partition) on the calling thread instead of
+    // overwriting the job in flight.
+    lock.unlock();
+    RunInline(num_chunks, fn);
+    return;
+  }
+  busy_ = true;
   EnsureWorkersLocked(NumThreads() - 1, lock);
   job_fn_ = &fn;
   job_chunks_ = num_chunks;
@@ -165,6 +192,7 @@ void ThreadPool::Run(int64_t num_chunks,
   done_cv_.wait(lock,
                 [&] { return done_chunks_ == job_chunks_ && active_ == 0; });
   job_fn_ = nullptr;
+  busy_ = false;
   if (error_) {
     std::exception_ptr err = error_;
     error_ = nullptr;

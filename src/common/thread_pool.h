@@ -52,7 +52,9 @@ class ThreadPool {
   /// Executes fn(chunk) for every chunk in [0, num_chunks) across the pool,
   /// blocking until all complete. Rethrows the first exception a chunk
   /// threw. Must be called from outside the pool (nested calls are the
-  /// caller's responsibility — ParallelFor inlines them).
+  /// caller's responsibility — ParallelFor inlines them). Any number of
+  /// outside threads may call it at once: while one job is in flight, a
+  /// second caller runs its own chunks inline on its thread.
   void Run(int64_t num_chunks, const std::function<void(int64_t)>& fn);
 
   /// Joins all workers. The pool restarts lazily on the next Run().
@@ -84,6 +86,7 @@ class ThreadPool {
   int64_t done_chunks_ = 0;
   int64_t active_ = 0;  // workers currently inside the job
   uint64_t generation_ = 0;
+  bool busy_ = false;  // an outside caller's job owns the fields above
   bool stop_ = false;
   std::exception_ptr error_;
   std::atomic<int64_t> next_chunk_{0};

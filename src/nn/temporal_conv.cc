@@ -46,33 +46,26 @@ ag::VarPtr CausalConv1d::Forward(const VarPtr& x) const {
   const int64_t t_len = x->value.dim(0);
   const int64_t n = x->value.dim(1);
   const int64_t pad = (kernel_size_ - 1) * dilation_;
-
-  VarPtr xp = x;
-  if (pad > 0) {
-    VarPtr zeros = ag::Constant(Tensor::Zeros({pad, n, in_channels_}));
-    xp = ag::ConcatOp({zeros, x}, 0);
-  }
+  const int64_t count = out_length(t_len);
+  // Keep the last sample of each stride window so the final output sees the
+  // most recent time step; only these `count` positions are computed.
+  const int64_t start = (t_len - 1) % stride_;
   VarPtr w = EffectiveWeight();
 
-  // y[t] = sum_i xp[t + i*dilation] @ w[i]; tap i = 0 is the oldest input.
+  // The taps' input gradients sum in one buffer that reaches x as a single
+  // contribution, as they did through the old zero-padded concat; a lone
+  // tap needs no buffer.
+  const VarPtr src = kernel_size_ > 1 ? ag::Alias(x) : x;
+  // y[t] = sum_i x[t + i*dilation - pad] @ w[i] for the kept t; tap i = 0 is
+  // the oldest input and rows before 0 read the causal zero pad.
   VarPtr acc;
   for (int64_t i = 0; i < kernel_size_; ++i) {
-    VarPtr xi = ag::SliceOp(xp, 0, i * dilation_, i * dilation_ + t_len);
-    VarPtr flat = ag::Reshape(xi, {t_len * n, in_channels_});
-    VarPtr wi = ag::Reshape(ag::SliceOp(w, 0, i, i + 1),
-                            {in_channels_, out_channels_});
-    VarPtr yi = ag::MatMul(flat, wi);
+    VarPtr xi = ag::GatherRows(src, start + i * dilation_ - pad, stride_,
+                               count);
+    VarPtr yi = ag::MatMul(xi, ag::GatherRows(w, i, 1, 1));
     acc = acc ? ag::Add(acc, yi) : yi;
   }
-  acc = ag::Add(acc, bias_);
-  VarPtr y = ag::Reshape(acc, {t_len, n, out_channels_});
-  if (stride_ > 1) {
-    // Keep the last sample of each stride window so the final output sees
-    // the most recent time-step.
-    const int64_t start = (t_len - 1) % stride_;
-    y = ag::Downsample(y, 0, stride_, start);
-  }
-  return y;
+  return ag::Reshape(ag::Add(acc, bias_), {count, n, out_channels_});
 }
 
 TemporalConvBlock::TemporalConvBlock(int64_t in_channels, int64_t out_channels,
@@ -82,14 +75,15 @@ TemporalConvBlock::TemporalConvBlock(int64_t in_channels, int64_t out_channels,
     : conv1_(in_channels, out_channels, kernel_size, rng, /*dilation=*/1,
              stride),
       conv2_(out_channels, out_channels, kernel_size, rng, dilation, stride),
-      stride_(stride),
       dropout_(dropout) {
   RegisterModule(&conv1_);
   RegisterModule(&conv2_);
   if (in_channels != out_channels || stride > 1) {
+    // A unit kernel at the block's total stride reads only the positions the
+    // block keeps: ceil(ceil(T/s)/s) == ceil(T/s²), last-sample aligned.
     downsample_ = std::make_unique<CausalConv1d>(
         in_channels, out_channels, /*kernel_size=*/1, rng, /*dilation=*/1,
-        /*stride=*/1, /*weight_norm=*/false);
+        /*stride=*/stride * stride, /*weight_norm=*/false);
     RegisterModule(downsample_.get());
   }
 }
@@ -101,13 +95,6 @@ ag::VarPtr TemporalConvBlock::Forward(const VarPtr& x, Rng* rng) const {
   h = ag::Dropout(h, dropout_, training(), rng, /*spatial_axis=*/2);
 
   VarPtr res = downsample_ ? downsample_->Forward(x) : x;
-  if (stride_ > 1) {
-    // Align to the block's compressed time axis (ceil(ceil(T/s)/s) ==
-    // ceil(T/s²) positions, last-sample aligned).
-    const int64_t step = stride_ * stride_;
-    const int64_t start = (res->value.dim(0) - 1) % step;
-    res = ag::Downsample(res, 0, step, start);
-  }
   return ag::Relu(ag::Add(h, res));
 }
 

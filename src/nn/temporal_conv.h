@@ -16,8 +16,9 @@ namespace rtgcn::nn {
 ///
 /// Output at time t sees inputs t, t-dilation, ..., t-(k-1)*dilation only
 /// (left zero padding), so no future leakage (WaveNet-style causality).
-/// With `stride > 1` the output keeps times {stride-1, 2*stride-1, ...},
-/// shrinking T and expanding the receptive field as in the paper.
+/// With `stride > 1` the output keeps times {T-1, T-1-stride, ...},
+/// shrinking T and expanding the receptive field as in the paper. Only the
+/// kept times are computed: each tap gathers its input rows for them.
 /// With `weight_norm` the effective filter is w = g * v / ||v||, the norm
 /// taken per output channel (Salimans & Kingma).
 class CausalConv1d : public Module {
@@ -72,9 +73,8 @@ class TemporalConvBlock : public Module {
  private:
   CausalConv1d conv1_;
   CausalConv1d conv2_;
-  // Residual projection matching the block's total stride (unit kernel).
+  // Residual projection at the block's total stride (unit kernel).
   std::unique_ptr<CausalConv1d> downsample_;
-  int64_t stride_;
   float dropout_;
 };
 

@@ -779,7 +779,81 @@ void ForEachSliceRun(Tensor* dst, int64_t axis, int64_t start,
   });
 }
 
+// Pairs row k of a compact [count, row] block with row first + k*step of a
+// strided [len, row] tensor and calls run_fn(strided_run, compact_run, n)
+// over the contiguous runs, skipping rows before 0. Chunks cover fixed
+// element ranges of the compact block and the rows are distinct, so each
+// element is touched once and the result does not depend on the thread
+// count.
+template <typename StridedPtr, typename CompactPtr, typename RunFn>
+void ForEachRowRun(StridedPtr strided, int64_t len, CompactPtr compact,
+                   int64_t row, int64_t first, int64_t step, int64_t count,
+                   RunFn run_fn) {
+  RTGCN_CHECK_GE(step, 1);
+  RTGCN_CHECK_GE(count, 0);
+  RTGCN_CHECK(count == 0 || first + (count - 1) * step < len)
+      << count << " rows from " << first << " by " << step
+      << " overrun length " << len;
+  if (row == 0) return;
+  ParallelFor(0, count * row, kElemGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi;) {
+      const int64_t k = i / row;
+      const int64_t j = i % row;
+      const int64_t n = std::min(hi - i, row - j);
+      const int64_t r = first + k * step;
+      if (r >= 0) run_fn(strided + r * row + j, compact + i, n);
+      i += n;
+    }
+  });
+}
+
+// Row count of `src` measured in rows of `dst` (axis 0).
+int64_t RowsIn(const Tensor& dst, const Tensor& src, int64_t* row) {
+  RTGCN_CHECK_GE(dst.ndim(), 1);
+  *row = dst.dim(0) > 0 ? dst.numel() / dst.dim(0) : 0;
+  if (*row == 0) return 0;
+  RTGCN_CHECK_EQ(src.numel() % *row, 0)
+      << ShapeToString(src.shape()) << " is not whole rows of "
+      << ShapeToString(dst.shape());
+  return src.numel() / *row;
+}
+
 }  // namespace
+
+Tensor GatherRows(const Tensor& a, int64_t first, int64_t step,
+                  int64_t count) {
+  RTGCN_CHECK_GE(a.ndim(), 1);
+  Shape shape = a.shape();
+  shape[0] = count;
+  Tensor out(std::move(shape));  // zero-filled: rows before 0 stay zero
+  const int64_t row = a.dim(0) > 0 ? a.numel() / a.dim(0) : 0;
+  ForEachRowRun(a.data(), a.dim(0), out.data(), row, first, step, count,
+                [](const float* s, float* d, int64_t n) {
+                  std::memcpy(d, s, n * sizeof(float));
+                });
+  return out;
+}
+
+void CopyIntoRows(Tensor* dst, int64_t first, int64_t step,
+                  const Tensor& src) {
+  int64_t row = 0;
+  const int64_t count = RowsIn(*dst, src, &row);
+  ForEachRowRun(dst->data(), dst->dim(0), src.data(), row, first, step,
+                count, [](float* d, const float* s, int64_t n) {
+                  std::memcpy(d, s, n * sizeof(float));
+                });
+}
+
+void AddIntoRows(Tensor* dst, int64_t first, int64_t step,
+                 const Tensor& src) {
+  int64_t row = 0;
+  const int64_t count = RowsIn(*dst, src, &row);
+  const kernels::BinaryFn add = kernels::Active().add;
+  ForEachRowRun(dst->data(), dst->dim(0), src.data(), row, first, step,
+                count, [add](float* d, const float* s, int64_t n) {
+                  add(d, s, d, n);
+                });
+}
 
 void CopyIntoSlice(Tensor* dst, int64_t axis, int64_t start,
                    const Tensor& src) {

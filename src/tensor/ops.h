@@ -126,6 +126,11 @@ Tensor Softmax(const Tensor& a, int64_t axis);
 /// Slice along `axis`, indices [start, end).
 Tensor Slice(const Tensor& a, int64_t axis, int64_t start, int64_t end);
 
+/// Rows first + k*step (k < count) of `a` along axis 0, stacked into
+/// [count, a.dim(1), ...]. Rows before 0 read as zeros (a causal left pad).
+Tensor GatherRows(const Tensor& a, int64_t first, int64_t step,
+                  int64_t count);
+
 /// Concatenation along `axis`.
 Tensor Concat(const std::vector<Tensor>& parts, int64_t axis);
 
@@ -153,6 +158,15 @@ void CopyIntoSlice(Tensor* dst, int64_t axis, int64_t start,
 /// Like CopyIntoSlice, but adds `src` into the range.
 void AddIntoSlice(Tensor* dst, int64_t axis, int64_t start,
                   const Tensor& src);
+
+/// The scatter GatherRows reverses: writes row k of `src` (rows of
+/// dst->numel() / dst->dim(0) elements, k < src.numel() / row) into row
+/// first + k*step of `dst` along axis 0, skipping rows before 0.
+void CopyIntoRows(Tensor* dst, int64_t first, int64_t step,
+                  const Tensor& src);
+
+/// Like CopyIntoRows, but adds `src` into the rows.
+void AddIntoRows(Tensor* dst, int64_t first, int64_t step, const Tensor& src);
 
 // ---------------------------------------------------------------------------
 // Comparisons / misc

@@ -199,16 +199,33 @@ TEST_F(GradCheckTest, SliceConcatReshape) {
       {x}));
 }
 
-TEST_F(GradCheckTest, PermuteTransposeDownsample) {
+TEST_F(GradCheckTest, PermuteTransposeGatherRows) {
   auto x = RandParam({4, 2, 3});
   EXPECT_TRUE(GradCheck(
       [](const std::vector<VarPtr>& in) {
         return SumAll(Square(Permute(in[0], {2, 0, 1})));
       },
       {x}));
+  // (first, step, count): whole and strided ranges, firsts inside the
+  // causal pad (negative), and counts from 1 to every row.
+  const int64_t cases[][3] = {{0, 1, 4}, {1, 2, 2},  {3, 1, 1},  {-1, 2, 3},
+                              {-3, 2, 3}, {-2, 3, 2}, {-4, 4, 2}, {-1, 1, 5}};
+  for (const auto& c : cases) {
+    const int64_t first = c[0], step = c[1], count = c[2];
+    EXPECT_TRUE(GradCheck(
+        [=](const std::vector<VarPtr>& in) {
+          return SumAll(Square(GatherRows(in[0], first, step, count)));
+        },
+        {x}))
+        << "first " << first << " step " << step << " count " << count;
+  }
+  // Two overlapping gathers of one input: the second adds into the rows
+  // the first wrote.
   EXPECT_TRUE(GradCheck(
       [](const std::vector<VarPtr>& in) {
-        return SumAll(Square(Downsample(in[0], 0, 2, 1)));
+        VarPtr a = GatherRows(in[0], -2, 2, 3);  // rows -2, 0, 2
+        VarPtr b = GatherRows(in[0], 0, 1, 3);   // rows 0, 1, 2
+        return Add(SumAll(Square(a)), SumAll(MulScalar(b, 3.0f)));
       },
       {x}));
   auto m = RandParam({3, 5});
@@ -219,12 +236,37 @@ TEST_F(GradCheckTest, PermuteTransposeDownsample) {
       {m}));
 }
 
-TEST(DownsampleTest, ForwardValues) {
-  auto x = Constant(Tensor({5, 1}, {0, 1, 2, 3, 4}));
-  auto y = Downsample(x, 0, 2, 0);
-  EXPECT_TRUE(rtgcn::AllClose(y->value, Tensor({3, 1}, {0, 2, 4})));
-  auto z = Downsample(x, 0, 2, 1);
-  EXPECT_TRUE(rtgcn::AllClose(z->value, Tensor({2, 1}, {1, 3})));
+TEST(GatherRowsTest, ForwardValuesAndCausalPad) {
+  auto x = Constant(Tensor({5, 1}, {10, 11, 12, 13, 14}));
+  auto y = GatherRows(x, 0, 2, 3);
+  EXPECT_TRUE(rtgcn::AllClose(y->value, Tensor({3, 1}, {10, 12, 14})));
+  auto z = GatherRows(x, 1, 2, 2);
+  EXPECT_TRUE(rtgcn::AllClose(z->value, Tensor({2, 1}, {11, 13})));
+  // Rows -3 and -1 read the zero pad.
+  auto p = GatherRows(x, -3, 2, 3);
+  EXPECT_TRUE(rtgcn::AllClose(p->value, Tensor({3, 1}, {0, 0, 11})));
+  // [T, N, C] flattens to [count * N, C].
+  auto x3 = Constant(Tensor({3, 2, 2}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+  auto f = GatherRows(x3, -1, 2, 2);
+  EXPECT_TRUE(rtgcn::AllClose(f->value, Tensor({4, 2}, {0, 0, 0, 0, 4, 5, 6, 7})));
+}
+
+TEST(GatherRowsTest, BackwardTouchesOnlyGatheredRows) {
+  auto x = Param(Tensor({4, 2}, {1, 2, 3, 4, 5, 6, 7, 8}));
+  // Rows -2 (pad), 0 and 2.
+  Backward(SumAll(MulScalar(GatherRows(x, -2, 2, 3), 2.0f)));
+  EXPECT_TRUE(rtgcn::AllClose(x->grad, Tensor({4, 2}, {2, 2, 0, 0, 2, 2, 0, 0})));
+  // A second pass adds into the existing gradient.
+  Backward(SumAll(GatherRows(x, 1, 2, 2)));
+  EXPECT_TRUE(rtgcn::AllClose(x->grad, Tensor({4, 2}, {2, 2, 1, 1, 2, 2, 1, 1})));
+}
+
+TEST(AliasTest, SharesValueAndPassesGradientThrough) {
+  auto x = Param(Tensor({2}, {1, 2}));
+  auto a = Alias(x);
+  EXPECT_EQ(a->value.data(), x->value.data());
+  Backward(Add(SumAll(Square(a)), SumAll(x)));
+  EXPECT_TRUE(rtgcn::AllClose(x->grad, Tensor({2}, {3, 5})));
 }
 
 TEST(DropoutTest, EvalModeIsIdentity) {

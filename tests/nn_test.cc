@@ -292,6 +292,65 @@ VarPtr OracleConcat(const std::vector<VarPtr>& parts, int64_t axis) {
                     });
 }
 
+// The old Downsample along axis 0: keeps rows start, start + step, ... and
+// scatters g back into a zero tensor of the input's full shape.
+VarPtr OracleDownsample(const VarPtr& a, int64_t step, int64_t start) {
+  const Shape in_shape = a->shape();
+  const int64_t len = in_shape[0];
+  const int64_t row = a->numel() / len;
+  const int64_t out_len = (len - start + step - 1) / step;
+  Shape out_shape = in_shape;
+  out_shape[0] = out_len;
+  Tensor out(out_shape);
+  for (int64_t t = 0; t < out_len; ++t) {
+    std::memcpy(out.data() + t * row, a->value.data() + (start + t * step) * row,
+                row * sizeof(float));
+  }
+  return ag::MakeOp(
+      "OracleDownsample", out, {a},
+      [a, in_shape, step, start, out_len, row](const Tensor& g) {
+        Tensor full = Tensor::Zeros(in_shape);
+        for (int64_t t = 0; t < out_len; ++t) {
+          std::memcpy(full.data() + (start + t * step) * row,
+                      g.data() + t * row, row * sizeof(float));
+        }
+        OldAccumulate(a, full);
+      });
+}
+
+// The old CausalConv1d::Forward through the oracle ops: every position of
+// the zero-padded input through per-tap slices, then a Downsample of the
+// full-length output. `p` is the conv's parameters: v, [gain,] bias.
+VarPtr OracleConv(const VarPtr& x, const std::vector<VarPtr>& p, int64_t k,
+                  int64_t dilation, int64_t stride) {
+  const int64_t t_len = x->value.dim(0), n = x->value.dim(1);
+  const int64_t in = x->value.dim(2);
+  const VarPtr& v = p[0];
+  const int64_t out = v->value.dim(2);
+  VarPtr w = v;
+  if (p.size() == 3) {  // weight norm
+    VarPtr norm = ag::Sqrt(ag::AddScalar(
+        ag::Sum(ag::Sum(ag::Square(v), 0, true), 1, true), 1e-8f));
+    w = ag::Mul(ag::Div(v, norm), p[1]);
+  }
+  const int64_t pad = (k - 1) * dilation;
+  VarPtr xp = x;
+  if (pad > 0) {
+    xp = OracleConcat({ag::Constant(Tensor::Zeros({pad, n, in})), x}, 0);
+  }
+  VarPtr acc;
+  for (int64_t i = 0; i < k; ++i) {
+    VarPtr xi = OracleSlice(xp, 0, i * dilation, i * dilation + t_len);
+    VarPtr flat = ag::Reshape(xi, {t_len * n, in});
+    VarPtr wi = ag::Reshape(OracleSlice(w, 0, i, i + 1), {in, out});
+    VarPtr yi = ag::MatMul(flat, wi);
+    acc = acc ? ag::Add(acc, yi) : yi;
+  }
+  VarPtr y = ag::Reshape(ag::Add(acc, p.back()), {t_len, n, out});
+  if (stride > 1) y = OracleDownsample(y, stride, (t_len - 1) % stride);
+  return y;
+}
+
 bool BitEqual(const Tensor& a, const Tensor& b) {
   return a.defined() && b.defined() && a.shape() == b.shape() &&
          std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
@@ -362,25 +421,104 @@ TEST(SliceBackwardTest, CausalConvTapsMatchZeroScatterBitwise) {
                             /*requires_grad=*/true);
   const std::vector<VarPtr> params = conv.Parameters();  // v, gain, bias
   const std::vector<Tensor> got = GradsOf(conv.Forward(x), x, params);
+  ExpectSameGrads(got,
+                  GradsOf(OracleConv(x, params, k, dilation, 1), x, params));
+}
 
-  // CausalConv1d::Forward with weight norm, through the oracle ops.
-  const int64_t pad = (k - 1) * dilation;
-  VarPtr xp = OracleConcat(
-      {ag::Constant(Tensor::Zeros({pad, n, in})), x}, 0);
-  const VarPtr& v = params[0];
-  VarPtr norm = ag::Sqrt(ag::AddScalar(
-      ag::Sum(ag::Sum(ag::Square(v), 0, true), 1, true), 1e-8f));
-  VarPtr w = ag::Mul(ag::Div(v, norm), params[1]);
-  VarPtr acc;
-  for (int64_t i = 0; i < k; ++i) {
-    VarPtr xi = OracleSlice(xp, 0, i * dilation, i * dilation + t_len);
-    VarPtr flat = ag::Reshape(xi, {t_len * n, in});
-    VarPtr wi = ag::Reshape(OracleSlice(w, 0, i, i + 1), {in, out});
-    VarPtr yi = ag::MatMul(flat, wi);
-    acc = acc ? ag::Add(acc, yi) : yi;
+// Every (T, stride, kernel, dilation) the benches use, including kept taps
+// that read the causal pad (T = 5 or 10 at stride 4).
+struct ConvShape {
+  int64_t t_len, stride, kernel, dilation;
+};
+std::vector<ConvShape> BenchConvShapes() {
+  std::vector<ConvShape> shapes;
+  for (int64_t t_len : {5, 8, 10, 15, 20}) {
+    for (int64_t stride : {1, 2, 4}) {
+      for (int64_t kernel : {1, 2, 3}) {
+        for (int64_t dilation : {1, 2}) {
+          shapes.push_back({t_len, stride, kernel, dilation});
+        }
+      }
+    }
   }
-  VarPtr y = ag::Reshape(ag::Add(acc, params[2]), {t_len, n, out});
-  ExpectSameGrads(got, GradsOf(y, x, params));
+  return shapes;
+}
+
+::testing::Message Describe(const ConvShape& s) {
+  return ::testing::Message() << "T " << s.t_len << " stride " << s.stride
+                              << " kernel " << s.kernel << " dilation "
+                              << s.dilation;
+}
+
+void ExpectBitEqualRun(const VarPtr& got_out, const VarPtr& want_out,
+                       const VarPtr& x, const std::vector<VarPtr>& params) {
+  ASSERT_TRUE(BitEqual(got_out->value, want_out->value)) << "output";
+  const std::vector<Tensor> got = GradsOf(got_out, x, params);
+  const std::vector<Tensor> want = GradsOf(want_out, x, params);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(BitEqual(got[i], want[i])) << "gradient " << i;
+  }
+}
+
+TEST(StridedConvOracleTest, CausalConvMatchesFullLengthDownsampleBitwise) {
+  const int64_t n = 3, in = 2, out = 3;
+  for (const ConvShape& s : BenchConvShapes()) {
+    for (bool weight_norm : {true, false}) {
+      Rng rng(31 + s.t_len);
+      CausalConv1d conv(in, out, s.kernel, &rng, s.dilation, s.stride,
+                        weight_norm);
+      auto x = ag::MakeVariable(RandomGaussian({s.t_len, n, in}, 0, 1, &rng),
+                                /*requires_grad=*/true);
+      const std::vector<VarPtr> params = conv.Parameters();
+      SCOPED_TRACE(Describe(s) << " weight norm " << weight_norm);
+      VarPtr got = conv.Forward(x);
+      EXPECT_EQ(got->value.dim(0), conv.out_length(s.t_len));
+      ExpectBitEqualRun(
+          got, OracleConv(x, params, s.kernel, s.dilation, s.stride), x,
+          params);
+    }
+  }
+}
+
+TEST(StridedConvOracleTest, TemporalBlockMatchesFullLengthDownsampleBitwise) {
+  const int64_t n = 3, out = 3;
+  const float dropout = 0.3f;
+  for (const ConvShape& s : BenchConvShapes()) {
+    // in == out at stride 1 has no residual projection.
+    for (int64_t in : {2, 3}) {
+      Rng rng(41 + s.t_len);
+      TemporalConvBlock block(in, out, s.kernel, &rng, s.dilation, s.stride,
+                              dropout);
+      auto x = ag::MakeVariable(RandomGaussian({s.t_len, n, in}, 0, 1, &rng),
+                                /*requires_grad=*/true);
+      // conv1 (v, gain, bias), conv2 (v, gain, bias), then the projection
+      // (v, bias) when the block has one.
+      const std::vector<VarPtr> params = block.Parameters();
+      const std::vector<VarPtr> p1(params.begin(), params.begin() + 3);
+      const std::vector<VarPtr> p2(params.begin() + 3, params.begin() + 6);
+      const std::vector<VarPtr> proj(params.begin() + 6, params.end());
+
+      SCOPED_TRACE(Describe(s) << " in " << in);
+      Rng drop_got(7), drop_want(7);
+      VarPtr got = block.Forward(x, &drop_got);
+
+      // The old TemporalConvBlock::Forward: the residual projection over
+      // every position, then a stride² Downsample.
+      VarPtr h = ag::Relu(OracleConv(x, p1, s.kernel, 1, s.stride));
+      h = ag::Dropout(h, dropout, true, &drop_want, /*spatial_axis=*/2);
+      h = ag::Relu(OracleConv(h, p2, s.kernel, s.dilation, s.stride));
+      h = ag::Dropout(h, dropout, true, &drop_want, /*spatial_axis=*/2);
+      VarPtr res = proj.empty() ? x : OracleConv(x, proj, 1, 1, 1);
+      if (s.stride > 1) {
+        const int64_t step = s.stride * s.stride;
+        res = OracleDownsample(res, step, (s.t_len - 1) % step);
+      }
+      VarPtr want = ag::Relu(ag::Add(h, res));
+      EXPECT_EQ(got->value.dim(0), block.out_length(s.t_len));
+      ExpectBitEqualRun(got, want, x, params);
+    }
+  }
 }
 
 }  // namespace

@@ -10,14 +10,17 @@
 //    with the rebuild fraction actually sub-linear;
 //  * RollingPipeline — retrain → checkpoint → hot-reload round trips, the
 //    churn-consistency guarantee on Rank replies, SERVING health under
-//    concurrent query load, and the e2e streaming-vs-batch-oracle MRR
-//    comparison through flash crash + universe churn.
+//    concurrent query load, Step() and Rank() sharing the thread pool, and
+//    the e2e streaming-vs-batch-oracle MRR comparison through flash crash
+//    + universe churn.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -30,6 +33,7 @@
 #include "common/file_util.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "deadline.h"
 #include "graph_checker.h"
 #include "harness/checkpoint.h"
 #include "market/dataset.h"
@@ -544,6 +548,90 @@ TEST(RollingPipelineTest, StaysServingUnderConcurrentLoad) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(replies.load(), 0);
   EXPECT_GE(pipeline.retrains(), 2);
+}
+
+TEST(RollingPipelineTest, StepAndRankShareThePoolAtFourThreads) {
+  // Step() refits while Rank() scores, both through the shared thread pool.
+  // The universe and filters are large enough that Fit's and Score's
+  // kernels split into several pool chunks.
+  struct PinThreads {
+    PinThreads() { SetNumThreads(4); }
+    ~PinThreads() { SetNumThreads(0); }
+  } pin;
+  Market m = MakeMarket(/*num_stocks=*/64, /*num_industries=*/4);
+  StreamConfig scfg = EventfulConfig(m.relations);
+  scfg.initial_active = 56;
+  scfg.min_active = 40;
+  auto config = [](const std::string& dir) {
+    PipelineConfig cfg = SmallPipelineConfig(dir);
+    cfg.model.window = 10;
+    cfg.model.relational_filters = 32;
+    return cfg;
+  };
+  constexpr int kDays = 30;
+
+  // Reference: the same stream stepped with no concurrent queries.
+  StreamRankReply want;
+  {
+    TickSource source(m.universe, m.relations, scfg);
+    RollingPipeline pipeline(config(TestDir("pool_ref")), &source,
+                             m.relations.relations);
+    ASSERT_TRUE(pipeline.Init().ok());
+    for (int d = 0; d < kDays; ++d) ASSERT_TRUE(pipeline.Step().ok());
+    auto reply = pipeline.Rank();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    want = reply.ValueOrDie();
+  }
+
+  TickSource source(m.universe, m.relations, scfg);
+  RollingPipeline pipeline(config(TestDir("pool_shared")), &source,
+                           m.relations.relations);
+  ASSERT_TRUE(pipeline.Init().ok());
+  std::atomic<int64_t> replies{0};
+  std::atomic<int64_t> failures{0};
+  // A deadlocked pool must fail the test, not hang it.
+  test::RunWithDeadline(
+      [&] {
+        std::atomic<bool> stop{false};
+        std::vector<std::thread> clients;
+        for (int c = 0; c < 2; ++c) {
+          clients.emplace_back([&] {
+            while (!stop.load(std::memory_order_relaxed)) {
+              auto reply = pipeline.Rank();
+              if (!reply.ok()) {  // no version promoted yet
+                std::this_thread::yield();
+                continue;
+              }
+              const StreamRankReply& r = reply.ValueOrDie();
+              bool good =
+                  !r.slots.empty() && r.slots.size() == r.scores.size();
+              for (float s : r.scores) good = good && std::isfinite(s);
+              (good ? replies : failures)
+                  .fetch_add(1, std::memory_order_relaxed);
+            }
+          });
+        }
+        for (int d = 0; d < kDays; ++d) {
+          if (!pipeline.Step().ok()) failures.fetch_add(1);
+        }
+        stop.store(true);
+        for (std::thread& t : clients) t.join();
+      },
+      std::chrono::seconds(120), "Step() and Rank() at 4 threads");
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(replies.load(), 0);
+
+  // Queries never perturb training: the final reply is the reference's.
+  auto reply = pipeline.Rank();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  const StreamRankReply& got = reply.ValueOrDie();
+  EXPECT_EQ(got.model_version, want.model_version);
+  EXPECT_EQ(got.day, want.day);
+  EXPECT_EQ(got.slots, want.slots);
+  ASSERT_EQ(got.scores.size(), want.scores.size());
+  EXPECT_EQ(std::memcmp(got.scores.data(), want.scores.data(),
+                        got.scores.size() * sizeof(float)),
+            0);
 }
 
 // ---------------------------------------------------------------------------

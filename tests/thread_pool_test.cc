@@ -1,13 +1,18 @@
 // Thread-pool unit tests: worker lifecycle, exception propagation out of
-// ParallelFor, grain-size edge cases, and the deterministic chunked fold.
+// ParallelFor, grain-size edge cases, the deterministic chunked fold, and
+// several outside threads calling the pool at once.
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
+
+#include "deadline.h"
 
 namespace rtgcn {
 namespace {
@@ -19,6 +24,29 @@ class ScopedNumThreads {
   explicit ScopedNumThreads(int n) { SetNumThreads(n); }
   ~ScopedNumThreads() { SetNumThreads(0); }
 };
+
+using test::RunWithDeadline;
+
+std::vector<float> PseudoRandomFloats(size_t n) {
+  std::vector<float> data(n);
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (auto& v : data) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    v = static_cast<float>(state >> 40) / 16777216.0f - 0.5f;
+  }
+  return data;
+}
+
+float ChunkedSum(const std::vector<float>& data) {
+  return ParallelReduce<float>(
+      0, static_cast<int64_t>(data.size()), 128, 0.0f,
+      [&](int64_t lo, int64_t hi) {
+        float s = 0.0f;
+        for (int64_t i = lo; i < hi; ++i) s += data[i];
+        return s;
+      },
+      [](float a, float b) { return a + b; });
+}
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   ScopedNumThreads threads(4);
@@ -196,28 +224,59 @@ TEST(ThreadPoolTest, BackToBackJobsStress) {
 TEST(ThreadPoolTest, ParallelReduceMatchesSerialFoldBitwise) {
   // Per-chunk float sums folded in chunk order: the fold tree is fixed by
   // (range, grain), so every thread count produces the same bits.
-  std::vector<float> data(5003);
-  uint64_t state = 0x9e3779b97f4a7c15ull;
-  for (auto& v : data) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    v = static_cast<float>(state >> 40) / 16777216.0f - 0.5f;
-  }
+  const std::vector<float> data = PseudoRandomFloats(5003);
   auto reduce = [&](int threads) {
     ScopedNumThreads scoped(threads);
-    return ParallelReduce<float>(
-        0, static_cast<int64_t>(data.size()), 128, 0.0f,
-        [&](int64_t lo, int64_t hi) {
-          float s = 0.0f;
-          for (int64_t i = lo; i < hi; ++i) s += data[i];
-          return s;
-        },
-        [](float a, float b) { return a + b; });
+    return ChunkedSum(data);
   };
   const float at1 = reduce(1);
   for (int t : {2, 4, 8}) {
     const float att = reduce(t);
     EXPECT_EQ(at1, att) << "threads=" << t;  // bitwise, not approximate
   }
+}
+
+TEST(ThreadPoolTest, ConcurrentOutsideCallersEachRunTheirOwnJob) {
+  // Several threads outside the pool call it at once, as the stream
+  // pipeline's Step() and Rank() do. Every job must cover its own range
+  // exactly once and reduce to the single-caller bits.
+  ScopedNumThreads threads(4);
+  const std::vector<float> data = PseudoRandomFloats(5003);
+  const float want = ChunkedSum(data);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 200;
+  std::atomic<int64_t> bad_coverage{0};
+  std::atomic<int64_t> bad_sums{0};
+  RunWithDeadline(
+      [&] {
+        std::vector<std::thread> callers;
+        for (int c = 0; c < kCallers; ++c) {
+          callers.emplace_back([&, c] {
+            const int64_t n = 1000 + 37 * c;  // a distinct range per caller
+            std::vector<int> hits(static_cast<size_t>(n));
+            for (int round = 0; round < kRounds; ++round) {
+              std::fill(hits.begin(), hits.end(), 0);
+              ParallelFor(0, n, 16, [&](int64_t lo, int64_t hi) {
+                for (int64_t i = lo; i < hi; ++i) ++hits[i];
+              });
+              for (int h : hits) {
+                if (h != 1) {
+                  bad_coverage.fetch_add(1, std::memory_order_relaxed);
+                  break;
+                }
+              }
+              const float got = ChunkedSum(data);
+              if (std::memcmp(&got, &want, sizeof got) != 0) {
+                bad_sums.fetch_add(1, std::memory_order_relaxed);
+              }
+            }
+          });
+        }
+        for (std::thread& t : callers) t.join();
+      },
+      std::chrono::seconds(60), "concurrent ParallelFor/ParallelReduce");
+  EXPECT_EQ(bad_coverage.load(), 0);
+  EXPECT_EQ(bad_sums.load(), 0);
 }
 
 TEST(ThreadPoolTest, ParallelReduceEmptyRangeReturnsIdentity) {
