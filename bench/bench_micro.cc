@@ -18,7 +18,10 @@
 #include "core/loss.h"
 #include "core/rtgcn.h"
 #include "graph/adjacency.h"
+#include "graph/sparse.h"
 #include "market/market.h"
+#include "market/relation_generator.h"
+#include "market/universe.h"
 #include "nn/rnn.h"
 #include "obs/trace.h"
 #include "serve/snapshot.h"
@@ -179,6 +182,44 @@ void BM_RtGcnTrainStep(benchmark::State& state) {
   SetNumThreads(0);
 }
 BENCHMARK(BM_RtGcnTrainStep)->ArgNames({"threads"})->Arg(1)->Arg(2)->Arg(4);
+
+// The time-sensitive relational propagation alone (§IV-B, Eq. 5) on the
+// paper-size NASDAQ-sim graph (N = 840, T = 15, D = 4) at 1 thread with a
+// storage pool open: the layer-level figure of the default strategy.
+// backward:0 is serving's untaped forward; backward:1 tapes the forward
+// and runs its backward from SumAll's unit gradient.
+void BM_SparseTimeSensitive(benchmark::State& state) {
+  const bool backward = state.range(0) != 0;
+  SetNumThreads(1);
+  const market::MarketSpec spec = market::NasdaqSpec(/*scale=*/7.0);
+  Rng rng(spec.seed);
+  const auto universe = market::StockUniverse::Generate(
+      spec.num_stocks, spec.num_industries, &rng);
+  market::RelationConfig relations;
+  relations.num_wiki_types = spec.num_wiki_types;
+  relations.wiki_links_per_stock = spec.wiki_links_per_stock;
+  const graph::RelationTensor rel =
+      market::GenerateRelations(universe, relations, &rng).relations;
+  const graph::CsrPtr g = graph::CsrGraph::NormalizedAdjacency(rel);
+  auto w = ag::MakeVariable(
+      RandomGaussian({rel.num_relation_types()}, 1.0f, 0.1f, &rng), true);
+  auto b = ag::MakeVariable(Tensor::Zeros({1}), true);
+  auto x = ag::MakeVariable(
+      RandomUniform({15, rel.num_stocks(), 4}, 0.9f, 1.1f, &rng), true);
+  ScopedStoragePool storage_pool;
+  for (auto _ : state) {
+    if (backward) {
+      w->grad = b->grad = x->grad = Tensor();
+      ag::Backward(ag::SumAll(graph::SparseTimeSensitivePropagate(g, w, b, x)));
+    } else {
+      ag::NoGradGuard no_grad;
+      benchmark::DoNotOptimize(graph::SparseTimeSensitivePropagate(g, w, b, x));
+    }
+  }
+  state.counters["entries"] = static_cast<double>(g->num_entries());
+  SetNumThreads(0);
+}
+BENCHMARK(BM_SparseTimeSensitive)->ArgNames({"backward"})->Arg(0)->Arg(1);
 
 void BM_LstmRankerTrainStep(benchmark::State& state) {
   auto& f = Fixture();

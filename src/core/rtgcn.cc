@@ -70,25 +70,41 @@ const Tensor& RtGcnLayer::last_propagation() const {
     last_propagation_ = rtgcn::Mean(last_propagation_stack_, 0);
     last_propagation_stack_ = Tensor();
   }
-  if (csr_ && last_edge_values_.defined()) {
-    // Sparse backend: scatter the saved per-entry values into a dense
-    // [N, N] only when someone asks, averaging over time first for the
-    // time-sensitive [T, nnz] stack.
-    if (last_edge_values_.ndim() == 2) {
-      const int64_t t_len = last_edge_values_.dim(0);
-      const int64_t nnz = last_edge_values_.dim(1);
-      std::vector<float> avg(static_cast<size_t>(nnz), 0.0f);
-      const float* pv = last_edge_values_.data();
-      for (int64_t t = 0; t < t_len; ++t) {
-        for (int64_t e = 0; e < nnz; ++e) avg[e] += pv[t * nnz + e];
+  if (csr_ && last_input_.defined()) {
+    // Sparse backend: recompute the per-entry values of the last input
+    // under the current parameters and scatter them into a dense [N, N],
+    // averaging the time-sensitive [T, nnz] values over time first.
+    ag::NoGradGuard no_grad;
+    Tensor values;
+    switch (config_.strategy) {
+      case Strategy::kUniform:
+        last_propagation_ = csr_->DensifyCoeff();
+        break;
+      case Strategy::kWeight:
+        // The edge values depend on w and b only; any [N, F] input will do.
+        graph::SparseEdgeWeightPropagate(
+            csr_, relation_w_, relation_b_,
+            ag::Constant(Tensor({csr_->num_nodes(), 1})), &values);
+        last_propagation_ = csr_->Densify(values.data());
+        break;
+      case Strategy::kTimeSensitive: {
+        graph::SparseTimeSensitivePropagate(csr_, relation_w_, relation_b_,
+                                            ag::Constant(last_input_),
+                                            &values);
+        const int64_t t_len = values.dim(0);
+        const int64_t nnz = values.dim(1);
+        std::vector<float> avg(static_cast<size_t>(nnz), 0.0f);
+        const float* pv = values.data();
+        for (int64_t t = 0; t < t_len; ++t) {
+          for (int64_t e = 0; e < nnz; ++e) avg[e] += pv[t * nnz + e];
+        }
+        const float inv = 1.0f / static_cast<float>(t_len);
+        for (int64_t e = 0; e < nnz; ++e) avg[e] *= inv;
+        last_propagation_ = csr_->Densify(avg.data());
+        break;
       }
-      const float inv = 1.0f / static_cast<float>(t_len);
-      for (int64_t e = 0; e < nnz; ++e) avg[e] *= inv;
-      last_propagation_ = csr_->Densify(avg.data());
-    } else {
-      last_propagation_ = csr_->Densify(last_edge_values_.data());
     }
-    last_edge_values_ = Tensor();
+    last_input_ = Tensor();
   }
   return last_propagation_;
 }
@@ -108,31 +124,27 @@ ag::VarPtr RtGcnLayer::RelationalConv(const ag::VarPtr& x) const {
   VarPtr propagated;
   if (csr_) {
     // Sparse backend: the same three strategies over CSR entries — never
-    // materializes an [N, N] matrix. Per-entry propagation values are
-    // saved and densified lazily in last_propagation().
+    // materializes an [N, N] matrix. The layer keeps a handle to its input
+    // (no copy); last_propagation() recomputes the per-entry values from
+    // it on demand.
+    last_input_ = x->value;
     switch (config_.strategy) {
       case Strategy::kUniform: {
         VarPtr xn = ag::Reshape(ag::Permute(x, {1, 0, 2}), {n, t_len * d});
         VarPtr y = graph::SparsePropagate(csr_, xn);
         propagated = ag::Permute(ag::Reshape(y, {n, t_len, d}), {1, 0, 2});
-        if (!last_edge_values_.defined() && !last_propagation_.defined()) {
-          last_edge_values_ = Tensor({csr_->num_entries()},
-                                     std::vector<float>(csr_->coeff()));
-        }
         break;
       }
       case Strategy::kWeight: {
         VarPtr xn = ag::Reshape(ag::Permute(x, {1, 0, 2}), {n, t_len * d});
-        VarPtr y = graph::SparseEdgeWeightPropagate(
-            csr_, relation_w_, relation_b_, xn, &last_edge_values_);
-        last_propagation_ = Tensor();
+        VarPtr y = graph::SparseEdgeWeightPropagate(csr_, relation_w_,
+                                                    relation_b_, xn);
         propagated = ag::Permute(ag::Reshape(y, {n, t_len, d}), {1, 0, 2});
         break;
       }
       case Strategy::kTimeSensitive: {
-        propagated = graph::SparseTimeSensitivePropagate(
-            csr_, relation_w_, relation_b_, x, &last_edge_values_);
-        last_propagation_ = Tensor();
+        propagated = graph::SparseTimeSensitivePropagate(csr_, relation_w_,
+                                                         relation_b_, x);
         break;
       }
     }

@@ -65,9 +65,10 @@ class RtGcnLayer : public nn::Module {
   int64_t out_length(int64_t in_length) const;
 
   /// Propagation matrix of the last Forward (detached; time-averaged for the
-  /// time-sensitive strategy). Used by the Figure 8 case study. The
-  /// time average is computed lazily here so training steps never pay for
-  /// this diagnostic.
+  /// time-sensitive strategy). Used by the Figure 8 case study. Computed
+  /// lazily here so that no forward pays for this diagnostic: the sparse
+  /// backend recomputes it from the last Forward's input under the current
+  /// parameters, so call it before the parameters change.
   const Tensor& last_propagation() const;
 
  private:
@@ -89,9 +90,9 @@ class RtGcnLayer : public nn::Module {
   // Pending per-time-step propagation stack [T, N, N] (dense time-sensitive
   // strategy); reduced to last_propagation_ on demand.
   mutable Tensor last_propagation_stack_;
-  // Sparse backends stash per-entry propagation values instead ([nnz] or
-  // [T, nnz]); densified on demand.
-  mutable Tensor last_edge_values_;
+  // Sparse backend: the last Forward's input (shared storage, not a copy),
+  // from which last_propagation() recomputes the per-entry values.
+  mutable Tensor last_input_;
 };
 
 /// \brief Full ranking model: stacked RT-GCN layers + pooling + FC scorer.

@@ -152,8 +152,11 @@ ag::VarPtr SparseEdgeWeightPropagate(const CsrPtr& g, const ag::VarPtr& w,
 
 /// Time-sensitive strategy for x [T, N, D]: p_{t,e} = coeff_e · s_e ·
 /// (x_{t,i} · x_{t,j}) / √D, y_t = P_t x_t. Gradients flow to w, b and x
-/// (including the correlation term). `save_edge_values` receives [T, nnz],
-/// sharing storage with the tape's copy: read it, do not write it.
+/// (including the correlation term). The kernels run node-major, every
+/// time step of an entry in one pass (DESIGN.md §5); results are bitwise
+/// those of a per-(t, i) loop. `save_edge_values`, when non-null, receives
+/// p as [T, nnz], formed only when asked: an untaped call without it
+/// writes no per-entry values at all.
 ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
                                         const ag::VarPtr& b,
                                         const ag::VarPtr& x,

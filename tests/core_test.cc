@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "autograd/gradcheck.h"
 #include "autograd/optimizer.h"
@@ -10,6 +11,8 @@
 #include "core/loss.h"
 #include "core/rtgcn.h"
 #include "graph/adjacency.h"
+#include "graph/sparse.h"
+#include "graph_checker.h"
 #include "market/dataset.h"
 #include "tensor/init.h"
 #include "tensor/kernels/kernels.h"
@@ -146,6 +149,74 @@ TEST(RtGcnLayerTest, TimeSensitivePropagationVariesWithFeatures) {
   Tensor x2 = RandomUniform({8, 6, 3}, 0.5f, 1.5f, &rng);
   layer.Forward(ag::Constant(x2), &rng);
   EXPECT_FALSE(AllClose(p1, layer.last_propagation()));
+}
+
+// The sparse backend keeps no per-forward edge values: last_propagation()
+// recomputes them from the last Forward's input under the current
+// parameters. It must equal, bit for bit, the densified values of a direct
+// call with save_edge_values on that input (time-averaged for the
+// time-sensitive strategy), and follow the next Forward.
+TEST(RtGcnLayerTest, SparseLastPropagationIsRecomputedFromLastInput) {
+  ScopedGraphBackend sparse(graph::GraphBackend::kSparse);
+  const graph::RelationTensor rel = SmallRelations();
+  const graph::CsrPtr g = graph::CsrGraph::NormalizedAdjacency(rel);
+  for (const Strategy strategy :
+       {Strategy::kWeight, Strategy::kTimeSensitive}) {
+    Rng rng(21);
+    RtGcnLayer layer(rel, SmallConfig(strategy), 3, 4, &rng);
+    ag::VarPtr w, b;
+    for (const auto& [name, p] : layer.NamedParameters()) {
+      if (name == "relation_w") w = p;
+      if (name == "relation_b") b = p;
+    }
+    ASSERT_TRUE(w && b);
+    // The direct call's values, densified as the layer documents.
+    auto direct = [&](const Tensor& x) {
+      ag::NoGradGuard no_grad;
+      Tensor values;
+      if (strategy == Strategy::kWeight) {
+        graph::SparseEdgeWeightPropagate(
+            g, w, b, ag::Constant(Tensor({g->num_nodes(), 2})), &values);
+        return g->Densify(values.data());
+      }
+      graph::SparseTimeSensitivePropagate(g, w, b, ag::Constant(x), &values);
+      const int64_t t_len = values.dim(0);
+      const int64_t nnz = values.dim(1);
+      std::vector<float> avg(static_cast<size_t>(nnz), 0.0f);
+      for (int64_t t = 0; t < t_len; ++t) {
+        for (int64_t e = 0; e < nnz; ++e) {
+          avg[e] += values.data()[t * nnz + e];
+        }
+      }
+      const float inv = 1.0f / static_cast<float>(t_len);
+      for (int64_t e = 0; e < nnz; ++e) avg[e] *= inv;
+      return g->Densify(avg.data());
+    };
+    auto bitwise_equal = [](const Tensor& a, const Tensor& c) {
+      return a.shape() == c.shape() &&
+             std::memcmp(a.data(), c.data(), sizeof(float) * a.numel()) == 0;
+    };
+
+    const Tensor x1 = RandomUniform({8, 6, 3}, 0.9f, 1.1f, &rng);
+    {
+      ag::NoGradGuard no_grad;
+      layer.Forward(ag::Constant(x1), &rng);
+    }
+    const Tensor p1 = layer.last_propagation().Clone();
+    EXPECT_TRUE(bitwise_equal(p1, direct(x1))) << StrategyName(strategy);
+
+    // A later Forward on new input (and, for W, new weights, on which its
+    // values alone depend) replaces it.
+    const Tensor x2 = RandomUniform({8, 6, 3}, 0.5f, 1.5f, &rng);
+    if (strategy == Strategy::kWeight) w->value.data()[0] += 0.5f;
+    {
+      ag::NoGradGuard no_grad;
+      layer.Forward(ag::Constant(x2), &rng);
+    }
+    const Tensor p2 = layer.last_propagation().Clone();
+    EXPECT_FALSE(bitwise_equal(p1, p2)) << StrategyName(strategy);
+    EXPECT_TRUE(bitwise_equal(p2, direct(x2))) << StrategyName(strategy);
+  }
 }
 
 TEST(RtGcnModelTest, AblationConfigsWork) {

@@ -3,11 +3,13 @@
 // cases, and --graph_backend / RTGCN_GRAPH_BACKEND dispatch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/gradcheck.h"
@@ -338,8 +340,7 @@ TEST(SparseOpsTest, TimeSensitivePropagateMatchesDense) {
 
 // Taped and untaped calls share one loop: the output and the saved edge
 // values are bitwise equal with grad on and off, at 1/2/4 threads, for
-// widths on the fixed-width path (4, 16) and the generic one (3), under
-// every kernel backend.
+// widths 3, 4 and 16, under every kernel backend.
 TEST(SparseOpsTest, TimeSensitiveTapedAndUntapedAreBitIdentical) {
   Rng rng(24);
   const graph::RelationTensor rel = RandomRelations(80, 4, 400, &rng);
@@ -389,6 +390,216 @@ TEST(SparseOpsTest, TimeSensitiveTapedAndUntapedAreBitIdentical) {
     }
     ASSERT_EQ(ref_p.ndim(), 2);
     EXPECT_EQ(ref_p.dim(1), g->num_entries());
+  }
+  SetNumThreads(saved_threads);
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise oracle for the node-major time-sensitive kernels: the per-(t, i)
+// row loop and its backward in their step-major form, run serially, with
+// the dw/db fold over the same 64-row chunks that ParallelReduce uses.
+// ---------------------------------------------------------------------------
+
+float OracleDot(const float* a, const float* b, int64_t f) {
+  float acc = 0.0f;
+  for (int64_t c = 0; c < f; ++c) acc += a[c] * b[c];
+  return acc;
+}
+
+struct OracleRowArgs {
+  const int64_t* rp;
+  const int32_t* col;
+  const float* as;  // coeff_e · s_e
+  const float* x;   // [T, N, D]
+  int64_t n, d, nnz;
+  float c;
+  float* p;         // [T, nnz]
+  float* y;         // [T, N, D], zeroed
+};
+
+// kD > 0 sums in registers, kD == 0 in place in y; both in entry order.
+template <int64_t kD>
+void OracleRow(const OracleRowArgs& a, int64_t i, int64_t t) {
+  const int64_t d = kD > 0 ? kD : a.d;
+  const float* xt = a.x + t * a.n * d;
+  const float* xi = xt + i * d;
+  float* yi = a.y + (t * a.n + i) * d;
+  float local[kD > 0 ? kD : 1] = {};
+  float* acc = kD > 0 ? local : yi;
+  float* p = a.p + t * a.nnz;
+  for (int64_t e = a.rp[i]; e < a.rp[i + 1]; ++e) {
+    const float* xj = xt + static_cast<int64_t>(a.col[e]) * d;
+    const float cv = a.c * OracleDot(xi, xj, d);
+    const float pv = a.as[e] * cv;
+    p[e] = pv;
+    for (int64_t k = 0; k < d; ++k) acc[k] += pv * xj[k];
+  }
+  if constexpr (kD > 0) {
+    for (int64_t k = 0; k < kD; ++k) yi[k] = local[k];
+  }
+}
+
+struct TimeSensitiveOracle {
+  Tensor y, p, dw, db, dx;
+};
+
+TimeSensitiveOracle RunTimeSensitiveOracle(const graph::CsrGraph& g,
+                                           const Tensor& w, const Tensor& b,
+                                           const Tensor& x,
+                                           const Tensor& grad) {
+  const int64_t t_steps = x.dim(0), n = x.dim(1), d = x.dim(2);
+  const int64_t nnz = g.num_entries();
+  const int64_t k = w.numel();
+  const float c = 1.0f / std::sqrt(static_cast<float>(d));
+  const int64_t* rp = g.row_ptr().data();
+  const int32_t* col = g.col().data();
+  const int32_t* rev = g.reverse_entry().data();
+  const float* coeff = g.coeff().data();
+  const int64_t* tp = g.type_ptr().data();
+  const int32_t* types = g.types().data();
+  std::vector<float> s(static_cast<size_t>(nnz)), as(s.size());
+  for (int64_t e = 0; e < nnz; ++e) {
+    float weight = 1.0f;
+    if (!g.IsSelf(e)) {
+      weight = b.data()[0];
+      for (int64_t t = tp[e]; t < tp[e + 1]; ++t) weight += w.data()[types[t]];
+    }
+    s[e] = weight;
+    as[e] = coeff[e] * weight;
+  }
+
+  TimeSensitiveOracle o{Tensor::Zeros(x.shape()),
+                        Tensor::Zeros({t_steps, nnz}), Tensor(), Tensor(),
+                        Tensor::Zeros(x.shape())};
+  const OracleRowArgs args{rp,  col, as.data(), x.data(), n, d, nnz, c,
+                           o.p.data(), o.y.data()};
+  void (*row)(const OracleRowArgs&, int64_t, int64_t) =
+      d == 4 ? OracleRow<4> : d == 16 ? OracleRow<16> : OracleRow<0>;
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t t = 0; t < t_steps; ++t) row(args, i, t);
+  }
+  // corr[t, e] recomputed exactly as the forward formed it.
+  std::vector<float> corr(static_cast<size_t>(t_steps * nnz));
+  for (int64_t t = 0; t < t_steps; ++t) {
+    const float* xt = x.data() + t * n * d;
+    for (int64_t e = 0; e < nnz; ++e) {
+      corr[t * nnz + e] =
+          c * OracleDot(xt + g.row_of()[e] * d, xt + col[e] * d, d);
+    }
+  }
+
+  const float* pg = grad.data();
+  const float* px = x.data();
+  const float* pp = o.p.data();
+  std::vector<float> acc(static_cast<size_t>(k + 1), 0.0f);
+  for (int64_t lo = 0; lo < n; lo += 64) {
+    std::vector<float> partial(static_cast<size_t>(k + 1), 0.0f);
+    for (int64_t i = lo; i < std::min(n, lo + 64); ++i) {
+      for (int64_t e = rp[i]; e < rp[i + 1]; ++e) {
+        if (col[e] == i) continue;
+        float ds = 0.0f;
+        for (int64_t t = 0; t < t_steps; ++t) {
+          ds += corr[t * nnz + e] * OracleDot(pg + (t * n + i) * d,
+                                              px + (t * n + col[e]) * d, d);
+        }
+        ds *= coeff[e];
+        for (int64_t t = tp[e]; t < tp[e + 1]; ++t) partial[types[t]] += ds;
+        partial[k] += ds;
+      }
+    }
+    for (int64_t t = 0; t <= k; ++t) acc[t] += partial[t];
+  }
+  o.dw = Tensor({k}, std::vector<float>(acc.begin(), acc.begin() + k));
+  o.db = Tensor({1}, std::vector<float>(1, acc[k]));
+
+  float* pdx = o.dx.data();
+  for (int64_t m = 0; m < n; ++m) {
+    for (int64_t t = 0; t < t_steps; ++t) {
+      const float* gt = pg + t * n * d;
+      const float* xt = px + t * n * d;
+      const float* gm = gt + m * d;
+      const float* xm = xt + m * d;
+      float* dm = pdx + (t * n + m) * d;
+      for (int64_t e = rp[m]; e < rp[m + 1]; ++e) {
+        const int64_t j = col[e];
+        const float* gj = gt + j * d;
+        const float* xj = xt + j * d;
+        const float p_rev = pp[t * nnz + rev[e]];
+        const float coef2 = as[e] * c * OracleDot(gm, xj, d);
+        const float coef3 = coeff[rev[e]] * s[e] * c * OracleDot(gj, xm, d);
+        for (int64_t kk = 0; kk < d; ++kk) {
+          dm[kk] += p_rev * gj[kk] + (coef2 + coef3) * xj[kk];
+        }
+      }
+    }
+  }
+  return o;
+}
+
+// The node-major kernels against the row-loop oracle, bit for bit: output,
+// saved edge values and all three gradients, for widths and window lengths
+// on and off the time tile, on graphs with rows that hold only a self loop,
+// rows with no entries at all and multi-type edges, at 1/2/4 threads, taped
+// and untaped.
+TEST(SparseOpsTest, TimeSensitiveMatchesRowLoopOracleBitwise) {
+  Rng rng(25);
+  graph::RelationTensor rel(40, 4);
+  for (int64_t e = 0; e < 150; ++e) {
+    // Stocks 30..39 stay isolated.
+    const int64_t i = static_cast<int64_t>(rng.UniformInt(30));
+    const int64_t j = static_cast<int64_t>(rng.UniformInt(30));
+    if (i == j) continue;
+    rel.AddRelation(i, j, static_cast<int64_t>(rng.UniformInt(4))).Abort();
+  }
+  for (int64_t type : {0, 1, 3}) rel.AddRelation(0, 1, type).Abort();
+  const std::vector<std::pair<std::string, graph::CsrPtr>> graphs = {
+      {"normalized", graph::CsrGraph::NormalizedAdjacency(rel)},
+      {"row-mean (empty rows)", graph::CsrGraph::RowNormalized(rel)},
+      {"self loops only",
+       graph::CsrGraph::NormalizedAdjacency(graph::RelationTensor(12, 2))},
+  };
+  ASSERT_GT(EntryTypes(*graphs[0].second,
+                       EntryIndex(*graphs[0].second, 0, 1)).size(), 1u);
+  const int saved_threads = NumThreads();
+  for (const auto& [name, g] : graphs) {
+    const int64_t n = g->num_nodes();
+    const int64_t k = g->num_relation_types();
+    for (const int64_t d : {1, 2, 3, 4, 16}) {
+      for (const int64_t t_len : {1, 5, 8, 15, 16, 17, 20}) {
+        const Tensor w0 = RandomGaussian({k}, 1.0f, 0.1f, &rng);
+        const Tensor b0 = RandomGaussian({1}, 0.0f, 0.1f, &rng);
+        const Tensor x0 = RandomUniform({t_len, n, d}, 0.5f, 1.5f, &rng);
+        const Tensor cot = RandomGaussian({t_len, n, d}, 0.0f, 1.0f, &rng);
+        const TimeSensitiveOracle want =
+            RunTimeSensitiveOracle(*g, w0, b0, x0, cot);
+        for (const int threads : {1, 2, 4}) {
+          SetNumThreads(threads);
+          const std::string what = name + " d=" + std::to_string(d) +
+                                   " T=" + std::to_string(t_len) +
+                                   " threads=" + std::to_string(threads);
+          auto w = ag::MakeVariable(w0.Clone(), true);
+          auto b = ag::MakeVariable(b0.Clone(), true);
+          auto x = ag::MakeVariable(x0.Clone(), true);
+          Tensor p;
+          ag::VarPtr y = graph::SparseTimeSensitivePropagate(g, w, b, x, &p);
+          ag::Backward(ag::SumAll(ag::Mul(y, ag::Constant(cot))));
+          EXPECT_TRUE(BitwiseEqual(want.y, y->value)) << what << " y";
+          EXPECT_TRUE(BitwiseEqual(want.p, p)) << what << " edge values";
+          EXPECT_TRUE(BitwiseEqual(want.dw, w->grad)) << what << " dw";
+          EXPECT_TRUE(BitwiseEqual(want.db, b->grad)) << what << " db";
+          EXPECT_TRUE(BitwiseEqual(want.dx, x->grad)) << what << " dx";
+
+          ag::NoGradGuard no_grad;
+          Tensor p_untaped;
+          ag::VarPtr y_untaped =
+              graph::SparseTimeSensitivePropagate(g, w, b, x, &p_untaped);
+          EXPECT_TRUE(BitwiseEqual(want.y, y_untaped->value))
+              << what << " untaped y";
+          EXPECT_TRUE(BitwiseEqual(want.p, p_untaped))
+              << what << " untaped edge values";
+        }
+      }
+    }
   }
   SetNumThreads(saved_threads);
 }
